@@ -8,8 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include <functional>
-#include <queue>
-#include <unordered_map>
 
 #include "coherence/directory.hh"
 #include "coherence/pit.hh"
@@ -20,78 +18,14 @@
 #include "sim/rng.hh"
 #include "sim/shard.hh"
 
-#include "../tests/mem_ref_models.hh"
-
 namespace prism {
 namespace {
 
 /**
- * The pre-overhaul event loop (std::function callbacks over a
- * std::priority_queue with a const_cast moving pop), kept here as the
- * measured baseline for the EventQueue hot-path rewrite.
- */
-class LegacyEventQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    Tick now() const { return now_; }
-
-    void
-    schedule(Tick when, Callback cb)
-    {
-        heap_.push(Event{when, nextSeq_++, std::move(cb)});
-    }
-
-    void scheduleIn(Cycles delta, Callback cb)
-    {
-        schedule(now_ + delta, std::move(cb));
-    }
-
-    bool
-    runOne()
-    {
-        if (heap_.empty())
-            return false;
-        Event ev = std::move(const_cast<Event &>(heap_.top()));
-        heap_.pop();
-        now_ = ev.when;
-        ev.cb();
-        return true;
-    }
-
-    void
-    runAll()
-    {
-        while (runOne()) {
-        }
-    }
-
-  private:
-    struct Event {
-        Tick when;
-        std::uint64_t seq;
-        Callback cb;
-    };
-    struct Later {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-    std::priority_queue<Event, std::vector<Event>, Later> heap_;
-    Tick now_ = 0;
-    std::uint64_t nextSeq_ = 0;
-};
-
-/**
  * A capture the size of the simulator's largest (Machine::route's
  * this + pooled Msg pointer, plus padding up to three words): big
- * enough to defeat libstdc++'s 16-byte std::function SBO, so the
- * baseline pays the allocation the rewrite eliminates.
+ * enough to defeat libstdc++'s 16-byte std::function SBO, which the
+ * event queue's inline callback storage must hold without allocating.
  */
 struct FatCapture {
     std::uint64_t *sink;
@@ -306,31 +240,16 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
-void
-BM_EventQueueScheduleRunLegacy(benchmark::State &state)
-{
-    LegacyEventQueue eq;
-    std::uint64_t sink = 0;
-    for (auto _ : state) {
-        eq.scheduleIn(1, [&sink] { ++sink; });
-        eq.runOne();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(sink));
-    benchmark::DoNotOptimize(sink);
-}
-BENCHMARK(BM_EventQueueScheduleRunLegacy);
-
 /**
  * Schedule+dispatch throughput with a populated heap and fat captures:
  * the realistic hot path.  Keeps a standing population of events at
  * pseudo-random future ticks (so every push/pop walks the heap) and
  * measures one schedule + one dispatch per iteration.
  */
-template <typename Queue>
 void
-eventQueueChurn(benchmark::State &state)
+BM_EventQueueChurn(benchmark::State &state)
 {
-    Queue eq;
+    EventQueue eq;
     Rng rng(42);
     std::uint64_t sink = 0;
     constexpr int kPopulation = 512;
@@ -348,48 +267,16 @@ eventQueueChurn(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
     benchmark::DoNotOptimize(sink);
 }
-
-void
-BM_EventQueueChurn(benchmark::State &state)
-{
-    eventQueueChurn<EventQueue>(state);
-}
 BENCHMARK(BM_EventQueueChurn);
-
-void
-BM_EventQueueChurnLegacy(benchmark::State &state)
-{
-    eventQueueChurn<LegacyEventQueue>(state);
-}
-BENCHMARK(BM_EventQueueChurnLegacy);
 
 // ---------------------------------------------------------------------
 // mem_path micros: the per-access memory-hierarchy hot path (TLB,
-// L1/L2 tag store, page table), each measured against the retired
-// pre-overhaul implementation (tests/mem_ref_models.hh) as "…Legacy".
-// scripts/check_bench_regression.py tracks the MemPath set in CI.
+// L1/L2 tag store, page table).  scripts/check_bench_regression.py
+// tracks the MemPath set in CI.
 // ---------------------------------------------------------------------
 
-/** The pre-overhaul page table: one flat hash map. */
-class LegacyPageTable
-{
-  public:
-    const Pte *
-    lookup(VPage vp) const
-    {
-        auto it = map_.find(vp);
-        return it == map_.end() ? nullptr : &it->second;
-    }
-
-    void map(VPage vp, FrameNum f, PageMode m) { map_[vp] = Pte{f, m}; }
-
-  private:
-    std::unordered_map<VPage, Pte> map_;
-};
-
-template <typename Tlb>
 void
-memPathTlbHit(benchmark::State &state)
+BM_MemPath_TlbHit(benchmark::State &state)
 {
     Tlb t(128);
     for (VPage vp = 0; vp < 128; ++vp)
@@ -400,10 +287,10 @@ memPathTlbHit(benchmark::State &state)
         vp = (vp + 1) & 127;
     }
 }
+BENCHMARK(BM_MemPath_TlbHit);
 
-template <typename Tlb>
 void
-memPathTlbMiss(benchmark::State &state)
+BM_MemPath_TlbMiss(benchmark::State &state)
 {
     Tlb t(128);
     for (VPage vp = 0; vp < 128; ++vp)
@@ -414,13 +301,13 @@ memPathTlbMiss(benchmark::State &state)
         vp = (vp + 1) & 1023;
     }
 }
+BENCHMARK(BM_MemPath_TlbMiss);
 
-template <typename Tlb>
 void
-memPathTlbInsertEvict(benchmark::State &state)
+BM_MemPath_TlbInsertEvict(benchmark::State &state)
 {
     // Rotating through 4x capacity: every insert evicts the LRU entry
-    // (an O(n) scan in the legacy map, list surgery in the rewrite).
+    // (list surgery, no scan).
     Tlb t(64);
     VPage vp = 0;
     for (auto _ : state) {
@@ -428,13 +315,13 @@ memPathTlbInsertEvict(benchmark::State &state)
         vp = (vp + 1) & 255;
     }
 }
+BENCHMARK(BM_MemPath_TlbInsertEvict);
 
-template <typename Cache>
 void
-memPathL1Hit(benchmark::State &state)
+BM_MemPath_L1Hit(benchmark::State &state)
 {
     // 32 KiB 4-way L1; hit + LRU touch, the per-access fast path.
-    Cache c(32 * 1024, 4, 64);
+    SetAssocCache c(32 * 1024, 4, 64);
     for (std::uint64_t a = 0; a < 32 * 1024; a += 64)
         c.insert(a, Mesi::Shared);
     std::uint64_t addr = 0;
@@ -444,15 +331,15 @@ memPathL1Hit(benchmark::State &state)
         addr = (addr + 64) & (32 * 1024 - 1);
     }
 }
+BENCHMARK(BM_MemPath_L1Hit);
 
-template <typename Cache>
 void
-memPathL2Hit(benchmark::State &state)
+BM_MemPath_L2Hit(benchmark::State &state)
 {
     // Working set fits the 256 KiB L2 but not the 32 KiB L1: each
     // access misses L1, hits L2, and refills L1 (victim churn included).
-    Cache l1(32 * 1024, 4, 64);
-    Cache l2(256 * 1024, 8, 64);
+    SetAssocCache l1(32 * 1024, 4, 64);
+    SetAssocCache l2(256 * 1024, 8, 64);
     for (std::uint64_t a = 0; a < 256 * 1024; a += 64)
         l2.insert(a, Mesi::Exclusive);
     std::uint64_t addr = 0;
@@ -464,27 +351,27 @@ memPathL2Hit(benchmark::State &state)
         addr = (addr + 64) & (256 * 1024 - 1);
     }
 }
+BENCHMARK(BM_MemPath_L2Hit);
 
-template <typename Cache>
 void
-memPathInsertEvict(benchmark::State &state)
+BM_MemPath_InsertEvict(benchmark::State &state)
 {
-    Cache c(8 * 1024, 1, 64);
+    SetAssocCache c(8 * 1024, 1, 64);
     std::uint64_t addr = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(c.insert(addr, Mesi::Modified));
         addr += 64;
     }
 }
+BENCHMARK(BM_MemPath_InsertEvict);
 
-template <typename Cache>
 void
-memPathInvalidateFrameHot(benchmark::State &state)
+BM_MemPath_InvalidateFrameHot(benchmark::State &state)
 {
     // Page tear-down with resident lines: populate a 256 KiB cache
     // with background frames, then repeatedly flush and refill one
     // fully-resident page.
-    Cache c(256 * 1024, 8, 64);
+    SetAssocCache c(256 * 1024, 8, 64);
     for (FrameNum f = 8; f < 40; ++f)
         for (std::uint64_t off = 0; off < kPageBytes; off += 64)
             c.insert((f << kPageShift) | off, Mesi::Shared);
@@ -494,27 +381,27 @@ memPathInvalidateFrameHot(benchmark::State &state)
         benchmark::DoNotOptimize(c.invalidateFrame(3));
     }
 }
+BENCHMARK(BM_MemPath_InvalidateFrameHot);
 
-template <typename Cache>
 void
-memPathInvalidateFrameCold(benchmark::State &state)
+BM_MemPath_InvalidateFrameCold(benchmark::State &state)
 {
     // Page tear-down with nothing resident: the common kernel case
     // (most frames have no cached lines).  The residency index makes
-    // this O(1); the legacy model scans every line in the cache.
-    Cache c(256 * 1024, 8, 64);
+    // this O(1).
+    SetAssocCache c(256 * 1024, 8, 64);
     for (FrameNum f = 8; f < 40; ++f)
         for (std::uint64_t off = 0; off < kPageBytes; off += 64)
             c.insert((f << kPageShift) | off, Mesi::Shared);
     for (auto _ : state)
         benchmark::DoNotOptimize(c.invalidateFrame(999));
 }
+BENCHMARK(BM_MemPath_InvalidateFrameCold);
 
-template <typename Table>
 void
-memPathPageTableLookup(benchmark::State &state)
+BM_MemPath_PageTableLookup(benchmark::State &state)
 {
-    Table pt;
+    PageTable pt;
     constexpr std::uint64_t kVsid = 0x123;
     for (std::uint64_t p = 0; p < 4096; ++p)
         pt.map((kVsid << kPageNumBits) | p, p, PageMode::Scoma);
@@ -525,99 +412,7 @@ memPathPageTableLookup(benchmark::State &state)
         p = (p + 1) & 4095;
     }
 }
-
-void BM_MemPath_TlbHit(benchmark::State &s) { memPathTlbHit<Tlb>(s); }
-BENCHMARK(BM_MemPath_TlbHit);
-void BM_MemPath_TlbHitLegacy(benchmark::State &s)
-{
-    memPathTlbHit<testref::RefTlb>(s);
-}
-BENCHMARK(BM_MemPath_TlbHitLegacy);
-
-void BM_MemPath_TlbMiss(benchmark::State &s) { memPathTlbMiss<Tlb>(s); }
-BENCHMARK(BM_MemPath_TlbMiss);
-void BM_MemPath_TlbMissLegacy(benchmark::State &s)
-{
-    memPathTlbMiss<testref::RefTlb>(s);
-}
-BENCHMARK(BM_MemPath_TlbMissLegacy);
-
-void BM_MemPath_TlbInsertEvict(benchmark::State &s)
-{
-    memPathTlbInsertEvict<Tlb>(s);
-}
-BENCHMARK(BM_MemPath_TlbInsertEvict);
-void BM_MemPath_TlbInsertEvictLegacy(benchmark::State &s)
-{
-    memPathTlbInsertEvict<testref::RefTlb>(s);
-}
-BENCHMARK(BM_MemPath_TlbInsertEvictLegacy);
-
-void BM_MemPath_L1Hit(benchmark::State &s)
-{
-    memPathL1Hit<SetAssocCache>(s);
-}
-BENCHMARK(BM_MemPath_L1Hit);
-void BM_MemPath_L1HitLegacy(benchmark::State &s)
-{
-    memPathL1Hit<testref::RefCache>(s);
-}
-BENCHMARK(BM_MemPath_L1HitLegacy);
-
-void BM_MemPath_L2Hit(benchmark::State &s)
-{
-    memPathL2Hit<SetAssocCache>(s);
-}
-BENCHMARK(BM_MemPath_L2Hit);
-void BM_MemPath_L2HitLegacy(benchmark::State &s)
-{
-    memPathL2Hit<testref::RefCache>(s);
-}
-BENCHMARK(BM_MemPath_L2HitLegacy);
-
-void BM_MemPath_InsertEvict(benchmark::State &s)
-{
-    memPathInsertEvict<SetAssocCache>(s);
-}
-BENCHMARK(BM_MemPath_InsertEvict);
-void BM_MemPath_InsertEvictLegacy(benchmark::State &s)
-{
-    memPathInsertEvict<testref::RefCache>(s);
-}
-BENCHMARK(BM_MemPath_InsertEvictLegacy);
-
-void BM_MemPath_InvalidateFrameHot(benchmark::State &s)
-{
-    memPathInvalidateFrameHot<SetAssocCache>(s);
-}
-BENCHMARK(BM_MemPath_InvalidateFrameHot);
-void BM_MemPath_InvalidateFrameHotLegacy(benchmark::State &s)
-{
-    memPathInvalidateFrameHot<testref::RefCache>(s);
-}
-BENCHMARK(BM_MemPath_InvalidateFrameHotLegacy);
-
-void BM_MemPath_InvalidateFrameCold(benchmark::State &s)
-{
-    memPathInvalidateFrameCold<SetAssocCache>(s);
-}
-BENCHMARK(BM_MemPath_InvalidateFrameCold);
-void BM_MemPath_InvalidateFrameColdLegacy(benchmark::State &s)
-{
-    memPathInvalidateFrameCold<testref::RefCache>(s);
-}
-BENCHMARK(BM_MemPath_InvalidateFrameColdLegacy);
-
-void BM_MemPath_PageTableLookup(benchmark::State &s)
-{
-    memPathPageTableLookup<PageTable>(s);
-}
 BENCHMARK(BM_MemPath_PageTableLookup);
-void BM_MemPath_PageTableLookupLegacy(benchmark::State &s)
-{
-    memPathPageTableLookup<LegacyPageTable>(s);
-}
-BENCHMARK(BM_MemPath_PageTableLookupLegacy);
 
 void
 BM_RngDraw(benchmark::State &state)

@@ -28,10 +28,8 @@ bool traceMatch(GPage gp, std::uint32_t li) {
 
 CoherenceController::CoherenceController(
     NodeId self, const MachineConfig &cfg, EventQueue &eq, Dram &dram,
-    ControllerHost &host, std::function<NodeId(GPage)> static_home_of,
-    std::function<void(Msg &&)> send)
+    NodeHost &host)
     : self_(self), cfg_(cfg), eq_(eq), dram_(dram), host_(host),
-      staticHomeOf_(std::move(static_home_of)), sendFn_(std::move(send)),
       geo_(cfg.lineBytes),
       pit_(cfg.pitLatency, cfg.pitHashExtra),
       dir_(cfg.dirCacheEntries, cfg.dirCacheHit, cfg.dirCacheMiss,
@@ -58,7 +56,7 @@ void
 CoherenceController::send(Msg &&m)
 {
     m.src = self_;
-    sendFn_(std::move(m));
+    host_.send(std::move(m));
 }
 
 void
@@ -69,7 +67,7 @@ CoherenceController::forward(Msg &&m)
     auto moved = movedTo_.find(m.gpage);
     if (moved != movedTo_.end()) {
         target = moved->second;
-    } else if (staticHomeOf_(m.gpage) == self_) {
+    } else if (cfg_.staticHomeOf(m.gpage) == self_) {
         auto r = registry_.find(m.gpage);
         prism_assert(r != registry_.end(),
                      "static home has no registry entry for forwarded msg");
@@ -77,7 +75,7 @@ CoherenceController::forward(Msg &&m)
         prism_assert(target != self_, "registry points at a node "
                      "without the directory page");
     } else {
-        target = staticHomeOf_(m.gpage);
+        target = cfg_.staticHomeOf(m.gpage);
     }
     m.dst = target;
     send(std::move(m));
@@ -452,7 +450,7 @@ CoherenceController::installClientMapping(FrameNum frame, GPage gpage,
 void
 CoherenceController::installHomeMapping(FrameNum frame, GPage gpage)
 {
-    pit_.install(frame, gpage, staticHomeOf_(gpage), self_, frame,
+    pit_.install(frame, gpage, cfg_.staticHomeOf(gpage), self_, frame,
                  PageMode::Scoma, geo_.linesPerPage(), FgTag::Exclusive);
     dir_.createPage(gpage, DirState::Owned, self_);
     lineLock(gpage, 0); // materialize the lock vector
@@ -461,7 +459,7 @@ CoherenceController::installHomeMapping(FrameNum frame, GPage gpage)
     hm.accessesByNode.assign(cfg_.numNodes, 0);
     hm.totalAccesses = 0;
     hm.migrating = false;
-    if (staticHomeOf_(gpage) == self_)
+    if (cfg_.staticHomeOf(gpage) == self_)
         registry_[gpage] = self_;
     movedTo_.erase(gpage);
     if (oracle_)
@@ -616,37 +614,16 @@ CoherenceController::removeHomeMapping(FrameNum frame, GPage gpage)
     dir_.removePage(gpage);
     homeMeta_.erase(gpage);
     pit_.remove(frame);
-    if (staticHomeOf_(gpage) == self_) {
+    if (cfg_.staticHomeOf(gpage) == self_) {
         registry_.erase(gpage);
     } else {
         Msg m;
         m.type = MsgType::MigrateDone;
-        m.dst = staticHomeOf_(gpage);
+        m.dst = cfg_.staticHomeOf(gpage);
         m.gpage = gpage;
         m.aux = 1; // erase-registry sentinel
         send(std::move(m));
     }
-}
-
-FrameNum
-CoherenceController::mostInvalidFrame(
-    const std::vector<FrameNum> &candidates) const
-{
-    FrameNum best = kInvalidFrame;
-    std::uint32_t best_count = 0;
-    for (FrameNum f : candidates) {
-        const PitEntry *e = pit_.entry(f);
-        if (!e || !e->tags || e->mode != PageMode::Scoma)
-            continue;
-        if (e->tags->anyTransit())
-            continue; // paper: frames with Transit lines are skipped
-        std::uint32_t inv = e->tags->count(FgTag::Invalid);
-        if (best == kInvalidFrame || inv > best_count) {
-            best = f;
-            best_count = inv;
-        }
-    }
-    return best;
 }
 
 // ---------------------------------------------------------------------
@@ -1270,7 +1247,7 @@ CoherenceController::requestMigration(GPage gpage, NodeId new_home)
 {
     Msg m;
     m.type = MsgType::MigrateReq;
-    m.dst = staticHomeOf_(gpage);
+    m.dst = cfg_.staticHomeOf(gpage);
     m.gpage = gpage;
     m.aux = new_home;
     send(std::move(m));
@@ -1455,7 +1432,7 @@ CoherenceController::handleMigrateData(Msg m)
     if (hf == kInvalidFrame) {
         hf = host_.migrationAllocFrame(gp);
         prism_assert(hf != kInvalidFrame, "migration frame alloc failed");
-        PitEntry &e = pit_.install(hf, gp, staticHomeOf_(gp), self_, hf,
+        PitEntry &e = pit_.install(hf, gp, cfg_.staticHomeOf(gp), self_, hf,
                                    PageMode::Scoma, geo_.linesPerPage(),
                                    FgTag::Invalid);
         // Derive this node's tags from the transferred directory.
@@ -1485,7 +1462,7 @@ CoherenceController::handleMigrateData(Msg m)
 
     Msg done;
     done.type = MsgType::MigrateDone;
-    done.dst = staticHomeOf_(gp);
+    done.dst = cfg_.staticHomeOf(gp);
     done.gpage = gp;
     send(std::move(done));
 }

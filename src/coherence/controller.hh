@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -75,15 +74,25 @@ struct InterventionResult {
 };
 
 /**
- * Node-side services the controller needs: processor-cache
- * interventions and kernel cooperation for page migration.
- * Implemented by core::Node to keep the coherence layer independent
- * of the machine assembly.
+ * Node-side services the controller and the kernel need: message
+ * send, processor-cache interventions and frame flushes, TLB
+ * shootdown, and kernel cooperation for page migration.  Implemented
+ * by core::Node to keep the coherence and OS layers independent of
+ * the machine assembly (and coherence/ from including os/).
  */
-class ControllerHost
+class NodeHost
 {
   public:
-    virtual ~ControllerHost() = default;
+    virtual ~NodeHost() = default;
+
+    /** Inject @p m (source already stamped) into the network. */
+    virtual void send(Msg &&m) = 0;
+
+    /** Invalidate @p vp in every local processor TLB. */
+    virtual void shootdownTlb(VPage vp) = 0;
+
+    /** Invalidate every local processor-cache line of @p frame. */
+    virtual void flushFrameCaches(FrameNum frame) = 0;
 
     /**
      * Snoop all local processor caches for a line of @p frame.
@@ -166,9 +175,7 @@ class CoherenceController
 {
   public:
     CoherenceController(NodeId self, const MachineConfig &cfg,
-                        EventQueue &eq, Dram &dram, ControllerHost &host,
-                        std::function<NodeId(GPage)> static_home_of,
-                        std::function<void(Msg &&)> send);
+                        EventQueue &eq, Dram &dram, NodeHost &host);
 
     NodeId self() const { return self_; }
     Pit &pit() { return pit_; }
@@ -270,13 +277,6 @@ class CoherenceController
      * must have been flushed first) and remove the home PIT entry.
      */
     void removeHomeMapping(FrameNum frame, GPage gpage);
-
-    /**
-     * Dyn-Util support: among client S-COMA frames in @p candidates,
-     * find the one with the most Invalid fine-grain tags, skipping
-     * frames with any Transit line.  kInvalidFrame if none qualify.
-     */
-    FrameNum mostInvalidFrame(const std::vector<FrameNum> &candidates) const;
 
     /** True if this node is currently the dynamic home of @p gpage. */
     bool isDynHome(GPage gpage) const { return dir_.hasPage(gpage); }
@@ -388,9 +388,7 @@ class CoherenceController
     const MachineConfig &cfg_;
     EventQueue &eq_;
     Dram &dram_;
-    ControllerHost &host_;
-    std::function<NodeId(GPage)> staticHomeOf_;
-    std::function<void(Msg &&)> sendFn_;
+    NodeHost &host_;
     LineGeometry geo_;
 
     Pit pit_;

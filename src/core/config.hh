@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "mem/addr.hh"
 #include "sim/types.hh"
 
 namespace prism {
@@ -227,6 +228,13 @@ struct MachineConfig {
     std::uint32_t jobsIntra = 1;
 
     std::uint32_t numProcs() const { return numNodes * procsPerNode; }
+
+    /** Static home of a global page: round-robin across nodes. */
+    NodeId
+    staticHomeOf(GPage gp) const
+    {
+        return static_cast<NodeId>(gp % numNodes);
+    }
 };
 
 /**

@@ -81,16 +81,10 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
                                            cfg_.lockHandoffCycles);
     barriers_ = std::make_unique<BarrierManager>(eq0, cfg_.numProcs(),
                                                  cfg_.barrierCycles);
-    policy_ = makePolicy(cfg_.policy);
-
-    auto static_home = [this](GPage gp) { return staticHomeOf(gp); };
-    auto sender = [this](Msg &&m) { route(std::move(m)); };
 
     for (NodeId n = 0; n < cfg_.numNodes; ++n) {
         nodes_.push_back(std::make_unique<Node>(
-            n, cfg_, shards_[shardOfNode_[n]]->eq, *this, ipc_,
-            static_home, sender));
-        nodes_.back()->kernel().setPolicy(policy_.get());
+            n, cfg_, shards_[shardOfNode_[n]]->eq, *this, ipc_));
     }
 
     if (cfg_.oracleMode != OracleMode::Off) {

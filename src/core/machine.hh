@@ -25,7 +25,6 @@
 #include "obs/metrics.hh"
 #include "obs/report.hh"
 #include "os/ipc_server.hh"
-#include "policy/page_policy.hh"
 #include "sim/event_queue.hh"
 #include "sim/shard.hh"
 #include "sim/snap_log.hh"
@@ -156,13 +155,6 @@ class Machine
 
     std::uint32_t numProcs() const { return cfg_.numProcs(); }
 
-    /** Static home of a global page: round-robin across nodes. */
-    NodeId
-    staticHomeOf(GPage gp) const
-    {
-        return static_cast<NodeId>(gp % cfg_.numNodes);
-    }
-
     // --- Global shared memory setup ---------------------------------------
 
     /** Globalized shmget: allocate/look up a segment. */
@@ -256,7 +248,6 @@ class Machine
     IpcServer ipc_;
     std::unique_ptr<LockManager> locks_;
     std::unique_ptr<BarrierManager> barriers_;
-    std::unique_ptr<PagePolicy> policy_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::unique_ptr<ProtocolOracle> oracle_;
     RefSink *refSink_ = nullptr;

@@ -5,18 +5,14 @@
 namespace prism {
 
 Node::Node(NodeId id, const MachineConfig &cfg, EventQueue &eq,
-           Machine &machine, IpcServer &ipc,
-           std::function<NodeId(GPage)> static_home_of,
-           std::function<void(Msg &&)> send)
-    : id_(id), cfg_(cfg), eq_(eq), geo_(cfg.lineBytes),
+           Machine &machine, IpcServer &ipc)
+    : id_(id), cfg_(cfg), eq_(eq), machine_(machine), geo_(cfg.lineBytes),
       proto_(LineProtocol::get(cfg.protocol)),
       bus_(cfg.busAddrCycles, cfg.busDataCycles),
       dram_(cfg.memAccessCycles)
 {
-    kernel_ = std::make_unique<Kernel>(id, cfg, eq, ipc, static_home_of,
-                                       send);
-    ctrl_ = std::make_unique<CoherenceController>(
-        id, cfg, eq, dram_, *this, static_home_of, std::move(send));
+    kernel_ = std::make_unique<Kernel>(id, cfg, eq, ipc, *this);
+    ctrl_ = std::make_unique<CoherenceController>(id, cfg, eq, dram_, *this);
     kernel_->attachController(ctrl_.get());
 
     for (std::uint32_t i = 0; i < cfg.procsPerNode; ++i) {
@@ -24,15 +20,6 @@ Node::Node(NodeId id, const MachineConfig &cfg, EventQueue &eq,
         procs_.push_back(
             std::make_unique<Proc>(pid, *this, machine, cfg, eq));
     }
-
-    kernel_->setTlbShootdown([this](VPage vp) {
-        for (auto &p : procs_)
-            p->shootdown(vp);
-    });
-    kernel_->setCacheFlush([this](FrameNum f) {
-        for (auto &p : procs_)
-            p->invalidateFrame(f);
-    });
 }
 
 DelayAwaiter
@@ -252,6 +239,26 @@ Node::memAccess(Proc &requester, FrameNum frame, std::uint32_t line_idx,
             ctrl_->reflectDowngrade(frame, line_idx, false);
         co_return;
     }
+}
+
+void
+Node::send(Msg &&m)
+{
+    machine_.route(std::move(m));
+}
+
+void
+Node::shootdownTlb(VPage vp)
+{
+    for (auto &p : procs_)
+        p->shootdown(vp);
+}
+
+void
+Node::flushFrameCaches(FrameNum frame)
+{
+    for (auto &p : procs_)
+        p->invalidateFrame(frame);
 }
 
 InterventionResult

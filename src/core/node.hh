@@ -8,8 +8,9 @@
  * supply and downgrade/invalidate each other over the bus) driven by
  * the configured line-protocol table (coherence/line_protocol:
  * MSI/MESI/MOESI/MESIF), and is the
- * ControllerHost through which the coherence controller intervenes in
- * processor caches and cooperates with the kernel for migration.
+ * NodeHost through which the kernel and the coherence controller send
+ * messages and reach the processor caches and TLBs, and through which
+ * the controller cooperates with the kernel for migration.
  */
 
 #ifndef PRISM_CORE_NODE_HH
@@ -35,13 +36,11 @@ namespace prism {
 class Machine;
 
 /** One compute node. */
-class Node : public ControllerHost
+class Node : public NodeHost
 {
   public:
     Node(NodeId id, const MachineConfig &cfg, EventQueue &eq,
-         Machine &machine, IpcServer &ipc,
-         std::function<NodeId(GPage)> static_home_of,
-         std::function<void(Msg &&)> send);
+         Machine &machine, IpcServer &ipc);
 
     NodeId id() const { return id_; }
     Kernel &kernel() { return *kernel_; }
@@ -74,8 +73,11 @@ class Node : public ControllerHost
                      std::uint32_t line_idx, bool write,
                      Mesi requester_state);
 
-    // --- ControllerHost ---------------------------------------------------
+    // --- NodeHost -----------------------------------------------------------
 
+    void send(Msg &&m) override;
+    void shootdownTlb(VPage vp) override;
+    void flushFrameCaches(FrameNum frame) override;
     InterventionResult intervene(FrameNum frame, std::uint32_t line_idx,
                                  bool invalidate, Tick at) override;
     bool anyBusPending(FrameNum frame) const override;
@@ -94,6 +96,7 @@ class Node : public ControllerHost
     NodeId id_;
     const MachineConfig &cfg_;
     EventQueue &eq_;
+    Machine &machine_;
     LineGeometry geo_;
     const LineProtocol &proto_;
     MemoryBus bus_;

@@ -1,7 +1,5 @@
 #include "os/kernel.hh"
 
-#include <algorithm>
-
 #include "obs/trace_sink.hh"
 #include "policy/page_policy.hh"
 #include "sim/stats.hh"
@@ -9,10 +7,8 @@
 namespace prism {
 
 Kernel::Kernel(NodeId self, const MachineConfig &cfg, EventQueue &eq,
-               IpcServer &ipc, std::function<NodeId(GPage)> static_home_of,
-               std::function<void(Msg &&)> send)
-    : self_(self), cfg_(cfg), eq_(eq), ipc_(ipc),
-      staticHomeOf_(std::move(static_home_of)), sendFn_(std::move(send))
+               IpcServer &ipc, NodeHost &host)
+    : self_(self), cfg_(cfg), eq_(eq), ipc_(ipc), host_(host)
 {
 }
 
@@ -20,7 +16,7 @@ void
 Kernel::send(Msg &&m)
 {
     m.src = self_;
-    sendFn_(std::move(m));
+    host_.send(std::move(m));
 }
 
 CoMutex &
@@ -122,7 +118,7 @@ Kernel::handleFault(VPage vp, FrameNum *out_frame)
     // Am I (still) the page's dynamic home, or should I become it?
     bool home_path = ctrl_->isDynHome(gp);
     NodeId dyn_home_hint = kInvalidNode;
-    if (!home_path && staticHomeOf_(gp) == self_) {
+    if (!home_path && cfg_.staticHomeOf(gp) == self_) {
         NodeId reg = ctrl_->registryLookup(gp);
         if (reg == kInvalidNode || reg == self_)
             home_path = true; // first mapping: static home becomes home
@@ -156,7 +152,7 @@ Kernel::handleFault(VPage vp, FrameNum *out_frame)
         Msg m;
         m.type = MsgType::PageInReq;
         m.dst = dyn_home_hint != kInvalidNode ? dyn_home_hint
-                                              : staticHomeOf_(gp);
+                                              : cfg_.staticHomeOf(gp);
         m.gpage = gp;
         send(std::move(m));
         co_await w.ev.wait();
@@ -176,8 +172,7 @@ Kernel::handleFault(VPage vp, FrameNum *out_frame)
     }
 
     PageMode mode = PageMode::Scoma;
-    prism_assert(policy_ != nullptr, "no page policy installed");
-    co_await policy_->chooseClientMode(*this, gp, &mode);
+    co_await chooseClientMode(*this, gp, &mode);
 
     FrameNum f;
     if (mode == PageMode::Scoma) {
@@ -193,7 +188,7 @@ Kernel::handleFault(VPage vp, FrameNum *out_frame)
         laNumaMapped_.push_back(gp);
     }
 
-    ctrl_->installClientMapping(f, gp, staticHomeOf_(gp), ch.dynHome,
+    ctrl_->installClientMapping(f, gp, cfg_.staticHomeOf(gp), ch.dynHome,
                                 ch.homeFrame, mode);
     co_await delay(cfg_.pitCommandCycles);
     pt_.map(vp, f, mode);
@@ -260,8 +255,7 @@ Kernel::pageOutClient(GPage gp, bool convert_to_lanuma)
     // Unmap and shoot down local TLBs (node-local only).
     VPage vp = vpageOf(gp);
     pt_.unmap(vp);
-    if (tlbShootdown_)
-        tlbShootdown_(vp);
+    host_.shootdownTlb(vp);
     co_await delay(static_cast<Cycles>(cfg_.tlbShootdownCycles) *
                    cfg_.procsPerNode);
 
@@ -358,14 +352,12 @@ Kernel::pageOutHome(GPage gp)
         co_await delay(cfg_.retryDelay);
     FrameNum hf = ctrl_->pit().frameOf(gp);
     prism_assert(hf != kInvalidFrame, "home page without frame");
-    if (cacheFlush_)
-        cacheFlush_(hf);
+    host_.flushFrameCaches(hf);
     co_await delay(cfg_.diskLatency);
 
     VPage vp = vpageOf(gp);
     pt_.unmap(vp);
-    if (tlbShootdown_)
-        tlbShootdown_(vp);
+    host_.shootdownTlb(vp);
     co_await delay(static_cast<Cycles>(cfg_.tlbShootdownCycles) *
                    cfg_.procsPerNode);
 
@@ -434,21 +426,28 @@ Kernel::lruClientPage() const
     return best;
 }
 
-std::vector<FrameNum>
-Kernel::clientScomaFrameList() const
-{
-    std::vector<FrameNum> out(clientScomaFrames_.begin(),
-                              clientScomaFrames_.end());
-    // Deterministic order for reproducible policy decisions.
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
 GPage
-Kernel::pageOfClientFrame(FrameNum f) const
+Kernel::mostInvalidClientPage() const
 {
-    auto it = frameToPage_.find(f);
-    return it == frameToPage_.end() ? kInvalidGPage : it->second;
+    GPage best = kInvalidGPage;
+    FrameNum best_f = kInvalidFrame;
+    std::uint32_t best_count = 0;
+    const Pit &pit = ctrl_->pit();
+    for (FrameNum f : clientScomaFrames_) {
+        const PitEntry *e = pit.entry(f);
+        if (!e || !e->tags || e->mode != PageMode::Scoma)
+            continue;
+        if (e->tags->anyTransit())
+            continue; // paper: frames with Transit lines are skipped
+        const std::uint32_t inv = e->tags->count(FgTag::Invalid);
+        if (best == kInvalidGPage || inv > best_count ||
+            (inv == best_count && f < best_f)) {
+            best = e->gpage;
+            best_f = f;
+            best_count = inv;
+        }
+    }
+    return best;
 }
 
 void
@@ -552,7 +551,7 @@ Kernel::onPageInReq(Msg m)
         m.requester != kInvalidNode ? m.requester : m.src;
     m.requester = client;
     if (!ctrl_->isDynHome(gp)) {
-        if (staticHomeOf_(gp) == self_) {
+        if (cfg_.staticHomeOf(gp) == self_) {
             NodeId reg = ctrl_->registryLookup(gp);
             if (reg != kInvalidNode && reg != self_) {
                 m.dst = reg; // page migrated: forward to dynamic home
@@ -561,7 +560,7 @@ Kernel::onPageInReq(Msg m)
             }
             // else: fall through and become the home below
         } else {
-            m.dst = staticHomeOf_(gp); // stale arrival; re-route
+            m.dst = cfg_.staticHomeOf(gp); // stale arrival; re-route
             send(std::move(m));
             co_return;
         }
@@ -596,13 +595,13 @@ Kernel::onPageOutNotice(Msg m)
     m.requester = client;
     if (!ctrl_->isDynHome(gp)) {
         // Stale dynamic-home knowledge at the client: re-route.
-        if (staticHomeOf_(gp) == self_) {
+        if (cfg_.staticHomeOf(gp) == self_) {
             NodeId reg = ctrl_->registryLookup(gp);
             prism_assert(reg != kInvalidNode && reg != self_,
                          "page-out notice for an unmapped page");
             m.dst = reg;
         } else {
-            m.dst = staticHomeOf_(gp);
+            m.dst = cfg_.staticHomeOf(gp);
         }
         send(std::move(m));
         co_return;
@@ -657,10 +656,8 @@ Kernel::migrationFreeFrame(FrameNum f, GPage gp)
     VPage vp = vpageOf(gp);
     if (pt_.mapped(vp))
         pt_.unmap(vp);
-    if (tlbShootdown_)
-        tlbShootdown_(vp);
-    if (cacheFlush_)
-        cacheFlush_(f);
+    host_.shootdownTlb(vp);
+    host_.flushFrameCaches(f);
     archiveUtilization(f);
     frameToPage_.erase(f);
     if (f >= kImaginaryFrameBase) {

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <set>
 #include <unordered_map>
@@ -35,8 +34,6 @@
 #include "sim/task.hh"
 
 namespace prism {
-
-class PagePolicy;
 
 /** Kernel statistics (per node), as labeled scoped handles. */
 struct KernelStats {
@@ -63,28 +60,10 @@ class Kernel
 {
   public:
     Kernel(NodeId self, const MachineConfig &cfg, EventQueue &eq,
-           IpcServer &ipc, std::function<NodeId(GPage)> static_home_of,
-           std::function<void(Msg &&)> send);
+           IpcServer &ipc, NodeHost &host);
 
     /** Wire the node's coherence controller (post-construction). */
     void attachController(CoherenceController *c) { ctrl_ = c; }
-
-    /** Install the page-mode policy (owned by the machine). */
-    void setPolicy(PagePolicy *p) { policy_ = p; }
-
-    /** Hook: invalidate @p vp in every local processor TLB. */
-    void
-    setTlbShootdown(std::function<void(VPage)> fn)
-    {
-        tlbShootdown_ = std::move(fn);
-    }
-
-    /** Hook: invalidate all local processor-cache lines of a frame. */
-    void
-    setCacheFlush(std::function<void(FrameNum)> fn)
-    {
-        cacheFlush_ = std::move(fn);
-    }
 
     NodeId self() const { return self_; }
     const MachineConfig &config() const { return cfg_; }
@@ -148,11 +127,13 @@ class Kernel
     /** Least-recently-used client S-COMA page (kInvalidGPage if none). */
     GPage lruClientPage() const;
 
-    /** All client S-COMA frames (candidates for Dyn-Util). */
-    std::vector<FrameNum> clientScomaFrameList() const;
-
-    /** Global page mapped by a client frame. */
-    GPage pageOfClientFrame(FrameNum f) const;
+    /**
+     * Dyn-Util victim: the client S-COMA page whose frame has the most
+     * Invalid fine-grain tags, skipping frames with any Transit line;
+     * ties go to the lowest frame number.  kInvalidGPage if none
+     * qualify.  Unlike lruClientPage(), busy pages are not skipped.
+     */
+    GPage mostInvalidClientPage() const;
 
     /** Per-page mode override set by adaptive policies. */
     void setModeOverride(GPage gp, PageMode m);
@@ -174,7 +155,7 @@ class Kernel
     /** Deliver a kernel-class message. */
     void receive(Msg m);
 
-    // --- Migration cooperation (ControllerHost duties) ----------------------
+    // --- Migration cooperation (NodeHost duties) ----------------------------
 
     FrameNum migrationAllocFrame(GPage gp);
     void migrationFreeFrame(FrameNum f, GPage gp);
@@ -251,12 +232,8 @@ class Kernel
     const MachineConfig &cfg_;
     EventQueue &eq_;
     IpcServer &ipc_;
-    std::function<NodeId(GPage)> staticHomeOf_;
-    std::function<void(Msg &&)> sendFn_;
-    std::function<void(VPage)> tlbShootdown_;
-    std::function<void(FrameNum)> cacheFlush_;
+    NodeHost &host_;
     CoherenceController *ctrl_ = nullptr;
-    PagePolicy *policy_ = nullptr;
 
     PageTable pt_;
     FramePool realPool_{0};

@@ -1,143 +1,68 @@
 #include "policy/page_policy.hh"
 
 #include "os/kernel.hh"
-#include "sim/logging.hh"
 
 namespace prism {
 
 CoTask
-ScomaPolicy::chooseClientMode(Kernel &, GPage, PageMode *out)
+chooseClientMode(Kernel &k, GPage gp, PageMode *out)
 {
-    *out = PageMode::Scoma;
-    co_return;
-}
-
-CoTask
-LaNumaPolicy::chooseClientMode(Kernel &k, GPage, PageMode *out)
-{
-    *out = k.config().ccNumaBypass ? PageMode::CcNuma : PageMode::LaNuma;
-    co_return;
-}
-
-CoTask
-Scoma70Policy::chooseClientMode(Kernel &k, GPage, PageMode *out)
-{
-    // Page out LRU client pages until below the cap; the freed frame
-    // backs the faulting page.  No mode conversion in this policy.
-    while (k.clientCacheFull()) {
-        GPage victim = k.lruClientPage();
-        if (victim == kInvalidGPage)
-            break; // every candidate busy; admit over cap
-        co_await k.pageOutClient(victim, false);
-    }
-    *out = PageMode::Scoma;
-}
-
-CoTask
-DynFcfsPolicy::chooseClientMode(Kernel &k, GPage gp, PageMode *out)
-{
-    // Sticky: once mapped LA-NUMA the page stays LA-NUMA at this node.
-    if (k.modeOverride(gp) == PageMode::LaNuma) {
-        *out = PageMode::LaNuma;
-        co_return;
-    }
-    if (k.clientCacheFull()) {
-        k.setModeOverride(gp, PageMode::LaNuma);
-        *out = PageMode::LaNuma;
-        co_return;
-    }
-    *out = PageMode::Scoma;
-}
-
-CoTask
-DynUtilPolicy::chooseClientMode(Kernel &k, GPage gp, PageMode *out)
-{
-    if (k.modeOverride(gp) == PageMode::LaNuma) {
-        *out = PageMode::LaNuma;
-        co_return;
-    }
-    while (k.clientCacheFull()) {
-        // Ask the controller for the client frame with the most
-        // Invalid fine-grain tags (lightly used / communication data).
-        FrameNum victim_frame =
-            k.controller().mostInvalidFrame(k.clientScomaFrameList());
-        GPage victim = (victim_frame == kInvalidFrame)
-                           ? kInvalidGPage
-                           : k.pageOfClientFrame(victim_frame);
-        if (victim == kInvalidGPage || k.pageBusy(victim)) {
-            // No convertible frame right now: fall back to LA-NUMA for
-            // the faulting page.
-            k.setModeOverride(gp, PageMode::LaNuma);
-            *out = PageMode::LaNuma;
-            co_return;
-        }
-        co_await k.pageOutClient(victim, true);
-    }
-    *out = PageMode::Scoma;
-}
-
-CoTask
-DynLruPolicy::chooseClientMode(Kernel &k, GPage gp, PageMode *out)
-{
-    if (k.modeOverride(gp) == PageMode::LaNuma) {
-        *out = PageMode::LaNuma;
-        co_return;
-    }
-    while (k.clientCacheFull()) {
-        GPage victim = k.lruClientPage();
-        if (victim == kInvalidGPage) {
-            k.setModeOverride(gp, PageMode::LaNuma);
-            *out = PageMode::LaNuma;
-            co_return;
-        }
-        co_await k.pageOutClient(victim, true);
-    }
-    *out = PageMode::Scoma;
-}
-
-CoTask
-DynBothPolicy::chooseClientMode(Kernel &k, GPage gp, PageMode *out)
-{
-    // Revert heavily refetched LA-NUMA pages back to S-COMA
-    // (amortized scan at fault time).
-    co_await k.reconsiderLaNumaPages(refetchThreshold_, 4);
-
-    if (k.modeOverride(gp) == PageMode::LaNuma) {
-        *out = PageMode::LaNuma;
-        co_return;
-    }
-    while (k.clientCacheFull()) {
-        GPage victim = k.lruClientPage();
-        if (victim == kInvalidGPage) {
-            k.setModeOverride(gp, PageMode::LaNuma);
-            *out = PageMode::LaNuma;
-            co_return;
-        }
-        co_await k.pageOutClient(victim, true);
-    }
-    *out = PageMode::Scoma;
-}
-
-std::unique_ptr<PagePolicy>
-makePolicy(PolicyKind kind)
-{
-    switch (kind) {
+    const PolicyKind policy = k.config().policy;
+    switch (policy) {
       case PolicyKind::Scoma:
-        return std::make_unique<ScomaPolicy>();
+        *out = PageMode::Scoma;
+        co_return;
       case PolicyKind::LaNuma:
-        return std::make_unique<LaNumaPolicy>();
-      case PolicyKind::Scoma70:
-        return std::make_unique<Scoma70Policy>();
-      case PolicyKind::DynFcfs:
-        return std::make_unique<DynFcfsPolicy>();
-      case PolicyKind::DynUtil:
-        return std::make_unique<DynUtilPolicy>();
-      case PolicyKind::DynLru:
-        return std::make_unique<DynLruPolicy>();
+        *out = k.config().ccNumaBypass ? PageMode::CcNuma
+                                       : PageMode::LaNuma;
+        co_return;
       case PolicyKind::DynBoth:
-        return std::make_unique<DynBothPolicy>();
+        // Revert heavily refetched LA-NUMA pages back to S-COMA
+        // (amortized scan at fault time).
+        co_await k.reconsiderLaNumaPages(kDynBothRefetchThreshold,
+                                         kDynBothScanWidth);
+        break;
+      case PolicyKind::Scoma70:
+      case PolicyKind::DynFcfs:
+      case PolicyKind::DynUtil:
+      case PolicyKind::DynLru:
+        break;
     }
-    panic("unknown policy kind");
+
+    const bool convert = policy != PolicyKind::Scoma70;
+    if (convert && k.modeOverride(gp) == PageMode::LaNuma) {
+        *out = PageMode::LaNuma;
+        co_return;
+    }
+    if (policy == PolicyKind::DynFcfs) {
+        if (k.clientCacheFull()) {
+            k.setModeOverride(gp, PageMode::LaNuma);
+            *out = PageMode::LaNuma;
+            co_return;
+        }
+        *out = PageMode::Scoma;
+        co_return;
+    }
+
+    // Page out victims until below the cap; the freed frame backs the
+    // faulting page.  lruClientPage() already skips busy pages; the
+    // Dyn-Util pick does not, so a busy pick counts as no victim.
+    while (k.clientCacheFull()) {
+        const GPage victim = policy == PolicyKind::DynUtil
+                                 ? k.mostInvalidClientPage()
+                                 : k.lruClientPage();
+        if (victim == kInvalidGPage || k.pageBusy(victim)) {
+            if (!convert)
+                break; // SCOMA-70: every candidate busy; admit over cap
+            // No convertible frame right now: fall back to LA-NUMA
+            // for the faulting page.
+            k.setModeOverride(gp, PageMode::LaNuma);
+            *out = PageMode::LaNuma;
+            co_return;
+        }
+        co_await k.pageOutClient(victim, convert);
+    }
+    *out = PageMode::Scoma;
 }
 
 } // namespace prism

@@ -1,8 +1,8 @@
 /**
  * @file
- * Page-mode selection policies (paper Section 4.2).
+ * Page-mode selection (paper Section 4.2).
  *
- * A policy decides, at each client page fault, whether to back the
+ * At each client page fault the kernel decides whether to back the
  * faulting global page with a real S-COMA frame or an imaginary
  * LA-NUMA frame, and may perform paging activity (page-outs, mode
  * conversions) to make room.  Converting a page between modes is a
@@ -13,10 +13,9 @@
 #ifndef PRISM_POLICY_PAGE_POLICY_HH
 #define PRISM_POLICY_PAGE_POLICY_HH
 
-#include <memory>
+#include <cstdint>
 
 #include "coherence/page_mode.hh"
-#include "core/config.hh"
 #include "mem/addr.hh"
 #include "sim/task.hh"
 
@@ -24,105 +23,35 @@ namespace prism {
 
 class Kernel;
 
-/** Interface: decide the mode for a faulting client page. */
-class PagePolicy
-{
-  public:
-    virtual ~PagePolicy() = default;
+/** Dyn-Both: remote refetches that revert an LA-NUMA page to S-COMA. */
+constexpr std::uint64_t kDynBothRefetchThreshold = 128;
 
-    /**
-     * Choose the page mode for a client fault on @p gp.  Runs on the
-     * faulting processor's coroutine; may page out victims.
-     */
-    virtual CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out) = 0;
-
-    /** Policy name as used in the paper. */
-    virtual const char *name() const = 0;
-};
-
-/** SCOMA: all client pages S-COMA; page cache effectively infinite. */
-class ScomaPolicy : public PagePolicy
-{
-  public:
-    CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out) override;
-    const char *name() const override { return "SCOMA"; }
-};
-
-/** LANUMA: all client pages LA-NUMA (CC-NUMA behaviour). */
-class LaNumaPolicy : public PagePolicy
-{
-  public:
-    CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out) override;
-    const char *name() const override { return "LANUMA"; }
-};
+/** Dyn-Both: mapped LA-NUMA pages reconsidered per client fault. */
+constexpr std::uint32_t kDynBothScanWidth = 4;
 
 /**
- * SCOMA-70: S-COMA with a capped page cache; on overflow the
- * least-recently-used client page is paged out (no mode conversion).
+ * Choose the page mode for a client fault on @p gp under the node's
+ * configured policy (k.config().policy).  Runs on the faulting
+ * processor's coroutine; may page out victims.
+ *
+ *  - SCOMA: always S-COMA; the page cache is effectively infinite.
+ *  - LANUMA: always LA-NUMA (CC-NUMA behaviour).
+ *  - SCOMA-70: S-COMA with a capped page cache; on overflow the
+ *    least-recently-used client page is paged out (no conversion).
+ *  - Dyn-FCFS: S-COMA until the page cache fills, then LA-NUMA.  No
+ *    page-outs, no hardware support.
+ *  - Dyn-Util: on overflow, convert the client page whose frame has
+ *    the most Invalid fine-grain tags to LA-NUMA and reuse its frame.
+ *  - Dyn-LRU: on overflow, convert the least-recently-used client
+ *    page to LA-NUMA and reuse its frame.
+ *  - Dyn-Both (extension, Section 4.3's future-work remark): Dyn-LRU
+ *    plus R-NUMA-style back-conversion of heavily refetched LA-NUMA
+ *    pages to S-COMA.
+ *
+ * Under every Dyn-* policy a page mapped LA-NUMA stays LA-NUMA at
+ * this node until something reverts it.
  */
-class Scoma70Policy : public PagePolicy
-{
-  public:
-    CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out) override;
-    const char *name() const override { return "SCOMA-70"; }
-};
-
-/**
- * Dyn-FCFS: allocate S-COMA until the page cache fills, then map new
- * pages LA-NUMA.  Pure OS policy; no page-outs, no hardware support.
- */
-class DynFcfsPolicy : public PagePolicy
-{
-  public:
-    CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out) override;
-    const char *name() const override { return "Dyn-FCFS"; }
-};
-
-/**
- * Dyn-Util: on overflow, query the controller for the client frame
- * with the most Invalid fine-grain tags (skipping Transit frames),
- * convert that page to LA-NUMA, and reallocate its frame.
- */
-class DynUtilPolicy : public PagePolicy
-{
-  public:
-    CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out) override;
-    const char *name() const override { return "Dyn-Util"; }
-};
-
-/**
- * Dyn-LRU: on overflow, page out the least-recently-used client page
- * and convert it to LA-NUMA mode for its future faults.
- */
-class DynLruPolicy : public PagePolicy
-{
-  public:
-    CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out) override;
-    const char *name() const override { return "Dyn-LRU"; }
-};
-
-/**
- * Dyn-Both (extension, Section 4.3's future-work remark): Dyn-LRU
- * plus R-NUMA-style back-conversion — mapped LA-NUMA pages that
- * accumulate many remote refetches are reverted to S-COMA.
- */
-class DynBothPolicy : public PagePolicy
-{
-  public:
-    explicit DynBothPolicy(std::uint64_t refetch_threshold = 128)
-        : refetchThreshold_(refetch_threshold)
-    {
-    }
-
-    CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out) override;
-    const char *name() const override { return "Dyn-Both"; }
-
-  private:
-    std::uint64_t refetchThreshold_;
-};
-
-/** Factory: build the policy object for a configuration. */
-std::unique_ptr<PagePolicy> makePolicy(PolicyKind kind);
+CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out);
 
 } // namespace prism
 

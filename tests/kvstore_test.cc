@@ -147,8 +147,8 @@ TEST(KvStore, PartitionPagesHomeOnTheirOwnNode)
         EXPECT_EQ(part, key % smallCfg().numNodes);
         const GPage idx_page = w.gpageOf(w.indexAddr(key));
         const GPage val_page = w.gpageOf(w.valueAddr(key));
-        ASSERT_EQ(m.staticHomeOf(idx_page), part) << "key " << key;
-        ASSERT_EQ(m.staticHomeOf(val_page), part) << "key " << key;
+        ASSERT_EQ(m.config().staticHomeOf(idx_page), part) << "key " << key;
+        ASSERT_EQ(m.config().staticHomeOf(val_page), part) << "key " << key;
     }
 }
 

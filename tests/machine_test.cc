@@ -25,9 +25,9 @@ TEST(Machine, TopologyWiring)
     EXPECT_EQ(m.proc(7).id(), 7u);
     EXPECT_EQ(&m.proc(7), &m.node(2).proc(1));
     // Round-robin static homes.
-    EXPECT_EQ(m.staticHomeOf(0), 0u);
-    EXPECT_EQ(m.staticHomeOf(5), 1u);
-    EXPECT_EQ(m.staticHomeOf(7), 3u);
+    EXPECT_EQ(m.config().staticHomeOf(0), 0u);
+    EXPECT_EQ(m.config().staticHomeOf(5), 1u);
+    EXPECT_EQ(m.config().staticHomeOf(7), 3u);
 }
 
 TEST(Machine, ParallelPhaseBracketsMetrics)

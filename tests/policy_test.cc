@@ -173,6 +173,36 @@ TEST(Policy, DynUtilConvertsLeastUtilizedFrame)
                 m2 == PageMode::LaNuma);
 }
 
+TEST(Policy, DynUtilBreaksInvalidTagTiesTowardLowestFrame)
+{
+    Rig rig(PolicyKind::DynUtil, 3);
+    // One line each: pages 0, 2 and 4 tie on Invalid-tag count.
+    rig.touchEvenPages(3);
+    auto &pit = rig.m.node(1).controller().pit();
+    std::uint64_t lowest = 0;
+    for (std::uint64_t pnum : {2, 4}) {
+        ASSERT_NE(pit.frameOf(rig.gp(pnum)), pit.frameOf(rig.gp(lowest)));
+        if (pit.frameOf(rig.gp(pnum)) < pit.frameOf(rig.gp(lowest)))
+            lowest = pnum;
+    }
+
+    // Page 6 overflows the cap and forces one conversion.
+    rig.m.run([&](Proc &p) -> CoTask {
+        return [](Proc &pp, Rig &r) -> CoTask {
+            if (pp.id() == 1)
+                co_await pp.read(r.va(6));
+        }(p, rig);
+    });
+    Kernel &k = rig.m.node(1).kernel();
+    EXPECT_EQ(k.stats().conversionsToLaNuma, 1u);
+    EXPECT_EQ(k.modeOverride(rig.gp(lowest)), PageMode::LaNuma);
+    for (std::uint64_t pnum : {0, 2, 4, 6}) {
+        if (pnum == lowest)
+            continue;
+        EXPECT_EQ(rig.clientMode(pnum), PageMode::Scoma) << "page " << pnum;
+    }
+}
+
 TEST(Policy, DynBothRevertsHotLaNumaPages)
 {
     MachineConfig cfg;
