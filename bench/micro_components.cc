@@ -14,6 +14,7 @@
 #include "mem/cache.hh"
 #include "mem/tlb.hh"
 #include "os/page_table.hh"
+#include "policy/page_policy.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/shard.hh"
@@ -105,6 +106,32 @@ BM_PitReverseHash(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PitReverseHash);
+
+/**
+ * One SCOMA-70 / Dyn-LRU page-out pick over a page cache of Arg client
+ * S-COMA frames: the LRU victim from the recency list (two busy pages
+ * sit at the head and are skipped), then the refaulted page's touch
+ * moves it to the tail.  Flat in Arg: the pick walks from the head.
+ */
+void
+BM_PageReplacement_Pick(benchmark::State &state)
+{
+    const FrameNum n = static_cast<FrameNum>(state.range(0));
+    Pit pit(2, 18);
+    for (FrameNum f = 0; f < n; ++f)
+        pit.linkRecency(pit.install(f, 0x1000 + f, 0, 1, f,
+                                    PageMode::Scoma, 64, FgTag::Invalid));
+    Tick now = 1;
+    for (FrameNum f = 0; f < n; ++f)
+        pit.touch(*pit.entry(f), now++);
+    auto busy = [](GPage gp) { return gp < 0x1002; };
+    for (auto _ : state) {
+        const GPage victim = lruClientVictim(pit, busy);
+        pit.touch(*pit.entry(pit.frameOf(victim)), now++);
+        benchmark::DoNotOptimize(victim);
+    }
+}
+BENCHMARK(BM_PageReplacement_Pick)->Arg(256)->Arg(4096);
 
 void
 BM_DirectoryAccess(benchmark::State &state)

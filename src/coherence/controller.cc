@@ -134,7 +134,7 @@ CoherenceController::serviceMiss(FrameNum frame, std::uint32_t line_idx,
         out->source = MissSource::BadFrame;
         co_return;
     }
-    e->lastAccess = eq_.now();
+    pit_.touch(*e, eq_.now());
     e->accessed->set(line_idx);
 
     switch (e->mode) {
@@ -434,7 +434,7 @@ CoherenceController::installLocalMapping(FrameNum frame)
     pit_.installLocal(frame, geo_.linesPerPage());
 }
 
-void
+PitEntry &
 CoherenceController::installClientMapping(FrameNum frame, GPage gpage,
                                           NodeId static_home,
                                           NodeId dyn_home,
@@ -443,8 +443,8 @@ CoherenceController::installClientMapping(FrameNum frame, GPage gpage,
     prism_assert(mode == PageMode::Scoma || mode == PageMode::LaNuma ||
                      mode == PageMode::CcNuma,
                  "client mapping must be a global mode");
-    pit_.install(frame, gpage, static_home, dyn_home, home_frame, mode,
-                 geo_.linesPerPage(), FgTag::Invalid);
+    return pit_.install(frame, gpage, static_home, dyn_home, home_frame,
+                        mode, geo_.linesPerPage(), FgTag::Invalid);
 }
 
 void

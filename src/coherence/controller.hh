@@ -238,10 +238,13 @@ class CoherenceController
     /** Install a Local-mode mapping (private memory). */
     void installLocalMapping(FrameNum frame);
 
-    /** Install a client mapping (after a client page fault). */
-    void installClientMapping(FrameNum frame, GPage gpage,
-                              NodeId static_home, NodeId dyn_home,
-                              FrameNum home_frame, PageMode mode);
+    /**
+     * Install a client mapping (after a client page fault).
+     * @return the new PIT entry.
+     */
+    PitEntry &installClientMapping(FrameNum frame, GPage gpage,
+                                   NodeId static_home, NodeId dyn_home,
+                                   FrameNum home_frame, PageMode mode);
 
     /** Install a home mapping (page-in at the home node). */
     void installHomeMapping(FrameNum frame, GPage gpage);
@@ -254,7 +257,7 @@ class CoherenceController
      */
     CoTask flushClientPage(FrameNum frame, std::uint64_t *wb_lines);
 
-    /** Remove a client PIT entry after flushing. */
+    /** Remove a client PIT entry after flushing (unlinks it). */
     void removeClientMapping(FrameNum frame);
 
     /**

@@ -15,6 +15,8 @@
 #ifndef PRISM_COHERENCE_FINE_GRAIN_TAGS_HH
 #define PRISM_COHERENCE_FINE_GRAIN_TAGS_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -43,18 +45,30 @@ fgTagName(FgTag t)
     return "?";
 }
 
-/** The tag array of one S-COMA page frame. */
+/**
+ * The tag array of one S-COMA page frame.  A per-value line count is
+ * kept in step with every set()/fill(), so count() and anyTransit()
+ * are O(1): the Dyn-Util page-out pick queries them for every client
+ * frame.
+ */
 class FrameTags
 {
   public:
     explicit FrameTags(std::uint32_t lines_per_page, FgTag init)
         : tags_(lines_per_page, init)
     {
+        counts_[idx(init)] = lines_per_page;
     }
 
     FgTag get(std::uint32_t line_idx) const { return tags_[line_idx]; }
 
-    void set(std::uint32_t line_idx, FgTag t) { tags_[line_idx] = t; }
+    void
+    set(std::uint32_t line_idx, FgTag t)
+    {
+        --counts_[idx(tags_[line_idx])];
+        ++counts_[idx(t)];
+        tags_[line_idx] = t;
+    }
 
     std::uint32_t lines() const
     {
@@ -62,27 +76,10 @@ class FrameTags
     }
 
     /** Number of lines whose tag is @p t. */
-    std::uint32_t
-    count(FgTag t) const
-    {
-        std::uint32_t n = 0;
-        for (auto x : tags_) {
-            if (x == t)
-                ++n;
-        }
-        return n;
-    }
+    std::uint32_t count(FgTag t) const { return counts_[idx(t)]; }
 
     /** True if any line is in Transit. */
-    bool
-    anyTransit() const
-    {
-        for (auto x : tags_) {
-            if (x == FgTag::Transit)
-                return true;
-        }
-        return false;
-    }
+    bool anyTransit() const { return counts_[idx(FgTag::Transit)] != 0; }
 
     /** Set every line to @p t (page-in / flush). */
     void
@@ -90,10 +87,15 @@ class FrameTags
     {
         for (auto &x : tags_)
             x = t;
+        counts_ = {};
+        counts_[idx(t)] = lines();
     }
 
   private:
+    static std::size_t idx(FgTag t) { return static_cast<std::size_t>(t); }
+
     std::vector<FgTag> tags_;
+    std::array<std::uint32_t, 4> counts_{}; //!< lines per FgTag value
 };
 
 } // namespace prism

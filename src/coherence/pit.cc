@@ -13,6 +13,7 @@ Pit::install(FrameNum frame, GPage gpage, NodeId static_home,
                  "PIT entry already present for frame %llu",
                  static_cast<unsigned long long>(frame));
     PitEntry &e = byFrame_[frame];
+    e.frame = frame;
     e.gpage = gpage;
     e.staticHome = static_home;
     e.dynHome = dyn_home;
@@ -39,9 +40,66 @@ Pit::remove(FrameNum frame)
 {
     auto it = byFrame_.find(frame);
     prism_assert(it != byFrame_.end(), "removing absent PIT entry");
+    if (it->second.recencyLinked)
+        unlinkRecency(it->second);
     if (it->second.gpage != kInvalidGPage)
         byPage_.erase(it->second.gpage);
     byFrame_.erase(it);
+}
+
+void
+Pit::linkRecency(PitEntry &e)
+{
+    prism_assert(!e.recencyLinked, "frame %llu already in the recency list",
+                 static_cast<unsigned long long>(e.frame));
+    prism_assert(e.lastAccess == 0,
+                 "linking touched frame %llu into the recency list",
+                 static_cast<unsigned long long>(e.frame));
+    // Insert after the never-touched prefix.
+    e.older = lastUntouched_;
+    e.newer = lastUntouched_ ? lastUntouched_->newer : oldest_;
+    (e.older ? e.older->newer : oldest_) = &e;
+    (e.newer ? e.newer->older : newest_) = &e;
+    e.recencyLinked = true;
+    lastUntouched_ = &e;
+}
+
+void
+Pit::unlinkRecency(PitEntry &e)
+{
+    prism_assert(e.recencyLinked, "frame %llu not in the recency list",
+                 static_cast<unsigned long long>(e.frame));
+    detach(e);
+}
+
+void
+Pit::detach(PitEntry &e)
+{
+    if (lastUntouched_ == &e)
+        lastUntouched_ = e.older;
+    (e.older ? e.older->newer : oldest_) = e.newer;
+    (e.newer ? e.newer->older : newest_) = e.older;
+    e.older = e.newer = nullptr;
+    e.recencyLinked = false;
+}
+
+void
+Pit::touch(PitEntry &e, Tick now)
+{
+    prism_assert(!newest_ || now >= newest_->lastAccess,
+                 "recency touch at tick %llu before the newest (%llu)",
+                 static_cast<unsigned long long>(now),
+                 static_cast<unsigned long long>(newest_->lastAccess));
+    e.lastAccess = now;
+    if (!e.recencyLinked)
+        return;
+    detach(e);
+    e.older = newest_;
+    (newest_ ? newest_->newer : oldest_) = &e;
+    newest_ = &e;
+    e.recencyLinked = true;
+    if (now == 0)
+        lastUntouched_ = &e; // every linked entry is at tick 0
 }
 
 PitEntry *

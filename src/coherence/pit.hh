@@ -10,6 +10,11 @@
  * static and (cached) dynamic home, the cached home frame number, the
  * frame's mode, the fine-grain tags for S-COMA frames, and an optional
  * capability list implementing the inter-node memory firewall.
+ *
+ * The PIT also keeps the recency list the page-replacement policies
+ * pick victims from (see Pit::touch): an intrusive doubly-linked list
+ * through the entries of the frames the kernel links, which are its
+ * client S-COMA frames, least recently touched at the head.
  */
 
 #ifndef PRISM_COHERENCE_PIT_HH
@@ -64,6 +69,7 @@ class LineMask
 
 /** One PIT entry: the translation state of one local page frame. */
 struct PitEntry {
+    FrameNum frame = kInvalidFrame; //!< the local frame this entry maps
     GPage gpage = kInvalidGPage;    //!< global page backed by this frame
     NodeId staticHome = kInvalidNode;
     NodeId dynHome = kInvalidNode;  //!< cached dynamic home (may be stale)
@@ -82,8 +88,16 @@ struct PitEntry {
     /** Lines of this frame ever accessed (Table 3 utilization). */
     std::unique_ptr<LineMask> accessed;
 
-    /** Last tick the controller touched this frame (page LRU approx). */
+    /**
+     * Last tick the controller touched this frame (page LRU approx);
+     * 0 until the first touch.  Written only through Pit::touch.
+     */
     Tick lastAccess = 0;
+
+    /** Recency-list links (Pit::linkRecency); null at the ends. */
+    PitEntry *older = nullptr;
+    PitEntry *newer = nullptr;
+    bool recencyLinked = false;
 
     /** Remote fetches for this page since mapping (policy input). */
     std::uint64_t remoteFetches = 0;
@@ -111,8 +125,37 @@ class Pit
     /** Install a Local-mode entry (private memory, no global page). */
     PitEntry &installLocal(FrameNum frame, std::uint32_t lines_per_page);
 
-    /** Remove the entry for @p frame (page-out). */
+    /** Remove the entry for @p frame (page-out); unlinks it first. */
     void remove(FrameNum frame);
+
+    // --- Recency list ------------------------------------------------
+    //
+    // Linked entries are kept in ascending (lastAccess, order of their
+    // last link-or-touch): least recently touched at the head.  The
+    // order holds because a node's clock only moves forward, so each
+    // touch carries a lastAccess >= the tail's (asserted).  A linked
+    // entry never touched yet has lastAccess 0 and goes after the other
+    // never-touched entries but before every touched one.  Walking from
+    // the head therefore meets frames in LRU order, ties going to the
+    // frame touched (or linked) earliest.
+
+    /**
+     * Link the never-touched entry @p e into the recency list.  Linking
+     * an entry twice, or one already touched, panics.
+     */
+    void linkRecency(PitEntry &e);
+
+    /** Unlink @p e from the recency list; panics if it is not linked. */
+    void unlinkRecency(PitEntry &e);
+
+    /**
+     * Record a controller access to @p e at @p now: sets lastAccess
+     * and, if @p e is linked, moves it to the tail of the recency list.
+     */
+    void touch(PitEntry &e, Tick now);
+
+    /** Least recently touched linked entry, or nullptr if none. */
+    const PitEntry *leastRecent() const { return oldest_; }
 
     /** Entry for @p frame, or nullptr. */
     PitEntry *entry(FrameNum frame);
@@ -174,6 +217,12 @@ class Pit
     std::unordered_map<FrameNum, PitEntry> byFrame_;
     std::unordered_map<GPage, FrameNum> byPage_;
     std::uint64_t rejectedWrites_ = 0;
+
+    PitEntry *oldest_ = nullptr;    //!< recency-list head
+    PitEntry *newest_ = nullptr;    //!< recency-list tail
+    PitEntry *lastUntouched_ = nullptr; //!< last linked entry with lastAccess 0
+
+    void detach(PitEntry &e);
 };
 
 } // namespace prism

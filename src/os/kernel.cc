@@ -178,18 +178,17 @@ Kernel::handleFault(VPage vp, FrameNum *out_frame)
     if (mode == PageMode::Scoma) {
         f = realPool_.alloc();
         prism_assert(f != kInvalidFrame, "out of real frames");
-        clientScomaFrames_.insert(f);
-        frameToPage_[f] = gp;
-        if (clientScomaFrames_.size() > clientScomaPeak_)
-            clientScomaPeak_ = clientScomaFrames_.size();
+        if (++clientScomaLive_ > clientScomaPeak_)
+            clientScomaPeak_ = clientScomaLive_;
     } else {
         f = imagPool_.alloc();
-        frameToPage_[f] = gp;
         laNumaMapped_.push_back(gp);
     }
 
-    ctrl_->installClientMapping(f, gp, cfg_.staticHomeOf(gp), ch.dynHome,
-                                ch.homeFrame, mode);
+    PitEntry &e = ctrl_->installClientMapping(
+        f, gp, cfg_.staticHomeOf(gp), ch.dynHome, ch.homeFrame, mode);
+    if (mode == PageMode::Scoma)
+        ctrl_->pit().linkRecency(e);
     co_await delay(cfg_.pitCommandCycles);
     pt_.map(vp, f, mode);
     *out_frame = f;
@@ -280,7 +279,6 @@ Kernel::pageOutClient(GPage gp, bool convert_to_lanuma)
     }
     archiveUtilization(f);
     ctrl_->removeClientMapping(f);
-    frameToPage_.erase(f);
 
     // Tell the home we no longer cache the page.
     NoticeWait w(eq_);
@@ -295,7 +293,7 @@ Kernel::pageOutClient(GPage gp, bool convert_to_lanuma)
 
     // Only recycle the frame number once the home has acknowledged.
     if (mode == PageMode::Scoma) {
-        clientScomaFrames_.erase(f);
+        --clientScomaLive_;
         realPool_.release(f);
     } else {
         imagPool_.release(f);
@@ -401,53 +399,21 @@ bool
 Kernel::clientCacheFull() const
 {
     const std::uint64_t cap = clientCap();
-    return cap != 0 && clientScomaFrames_.size() >= cap;
+    return cap != 0 && clientScomaLive_ >= cap;
 }
 
 GPage
 Kernel::lruClientPage() const
 {
-    GPage best = kInvalidGPage;
-    Tick best_t = 0;
-    const Pit &pit = ctrl_->pit();
-    for (FrameNum f : clientScomaFrames_) {
-        const PitEntry *e = pit.entry(f);
-        if (!e)
-            continue;
-        if (pageBusy(e->gpage))
-            continue; // page mid-fault/mid-pageout; skip
-        if (e->tags && e->tags->anyTransit())
-            continue;
-        if (best == kInvalidGPage || e->lastAccess < best_t) {
-            best = e->gpage;
-            best_t = e->lastAccess;
-        }
-    }
-    return best;
+    // Busy: mid-fault or mid-pageout.
+    return lruClientVictim(ctrl_->pit(),
+                           [this](GPage gp) { return pageBusy(gp); });
 }
 
 GPage
 Kernel::mostInvalidClientPage() const
 {
-    GPage best = kInvalidGPage;
-    FrameNum best_f = kInvalidFrame;
-    std::uint32_t best_count = 0;
-    const Pit &pit = ctrl_->pit();
-    for (FrameNum f : clientScomaFrames_) {
-        const PitEntry *e = pit.entry(f);
-        if (!e || !e->tags || e->mode != PageMode::Scoma)
-            continue;
-        if (e->tags->anyTransit())
-            continue; // paper: frames with Transit lines are skipped
-        const std::uint32_t inv = e->tags->count(FgTag::Invalid);
-        if (best == kInvalidGPage || inv > best_count ||
-            (inv == best_count && f < best_f)) {
-            best = e->gpage;
-            best_f = f;
-            best_count = inv;
-        }
-    }
-    return best;
+    return mostInvalidClientVictim(ctrl_->pit());
 }
 
 void
@@ -659,12 +625,21 @@ Kernel::migrationFreeFrame(FrameNum f, GPage gp)
     host_.shootdownTlb(vp);
     host_.flushFrameCaches(f);
     archiveUtilization(f);
-    frameToPage_.erase(f);
     if (f >= kImaginaryFrameBase) {
         imagPool_.release(f);
     } else {
-        clientScomaFrames_.erase(f);
+        dropClientScomaFrame(f);
         realPool_.release(f);
+    }
+}
+
+void
+Kernel::dropClientScomaFrame(FrameNum f)
+{
+    PitEntry *e = ctrl_->pit().entry(f);
+    if (e && e->recencyLinked) {
+        ctrl_->pit().unlinkRecency(*e);
+        --clientScomaLive_;
     }
 }
 
@@ -683,8 +658,8 @@ Kernel::adoptHomePage(GPage gp, const SharerSet &clients)
     // If we had a client S-COMA frame it was promoted to the home
     // frame: it no longer counts against the client page cache.
     FrameNum f = ctrl_->pit().frameOf(gp);
-    if (f != kInvalidFrame && clientScomaFrames_.erase(f))
-        frameToPage_.erase(f);
+    if (f != kInvalidFrame)
+        dropClientScomaFrame(f);
 }
 
 void

@@ -115,16 +115,26 @@ class Kernel
     /** Per-node cap on client S-COMA frames (0 = unlimited). */
     std::uint64_t clientCap() const;
 
-    /** Live client S-COMA frames. */
-    std::uint64_t clientScomaCount() const
-    {
-        return clientScomaFrames_.size();
-    }
+    /**
+     * Live client S-COMA frames: the linked ones plus those paged out
+     * whose PageOutNoticeAck has not arrived (their number is not
+     * recycled yet).
+     */
+    std::uint64_t clientScomaCount() const { return clientScomaLive_; }
 
     /** True if the page cache has reached its cap. */
     bool clientCacheFull() const;
 
-    /** Least-recently-used client S-COMA page (kInvalidGPage if none). */
+    /**
+     * Least-recently-used client S-COMA page that is not busy and has
+     * no Transit line (kInvalidGPage if none): the first eligible frame
+     * from the head of the PIT's recency list.  The list links each
+     * client S-COMA frame when its mapping is installed and unlinks it
+     * when the mapping is removed or promoted to the home frame by a
+     * migration.  A never-touched frame (lastAccess 0) sits ahead of
+     * every touched one; ties on lastAccess go to the frame touched (or
+     * linked) earliest.
+     */
     GPage lruClientPage() const;
 
     /**
@@ -132,6 +142,7 @@ class Kernel
      * Invalid fine-grain tags, skipping frames with any Transit line;
      * ties go to the lowest frame number.  kInvalidGPage if none
      * qualify.  Unlike lruClientPage(), busy pages are not skipped.
+     * One walk of the recency list; tag counts are O(1).
      */
     GPage mostInvalidClientPage() const;
 
@@ -224,6 +235,12 @@ class Kernel
     /** Archive a departing frame's utilization before PIT removal. */
     void archiveUtilization(FrameNum f);
 
+    /**
+     * If @p f is a linked client S-COMA frame, unlink it and stop
+     * counting it (migration promoted or freed it).
+     */
+    void dropClientScomaFrame(FrameNum f);
+
     FireAndForget onPageInReq(Msg m);
     FireAndForget onPageOutNotice(Msg m);
     FireAndForget onHomePageOutReq(Msg m);
@@ -255,8 +272,8 @@ class Kernel
     std::unordered_map<GPage, SharerSet> homeClients_;
     std::unordered_set<GPage> diskPages_;
 
-    std::unordered_set<FrameNum> clientScomaFrames_;
-    std::unordered_map<FrameNum, GPage> frameToPage_;
+    /** Client S-COMA frames counted against the cap (clientScomaCount). */
+    std::uint64_t clientScomaLive_ = 0;
     std::unordered_map<GPage, PageMode> modeOverride_;
     std::uint64_t clientScomaPeak_ = 0;
 

@@ -65,4 +65,22 @@ chooseClientMode(Kernel &k, GPage gp, PageMode *out)
     *out = PageMode::Scoma;
 }
 
+GPage
+mostInvalidClientVictim(const Pit &pit)
+{
+    const PitEntry *best = nullptr;
+    std::uint32_t best_count = 0;
+    for (const PitEntry *e = pit.leastRecent(); e; e = e->newer) {
+        if (e->tags->anyTransit())
+            continue; // paper: frames with Transit lines are skipped
+        const std::uint32_t inv = e->tags->count(FgTag::Invalid);
+        if (!best || inv > best_count ||
+            (inv == best_count && e->frame < best->frame)) {
+            best = e;
+            best_count = inv;
+        }
+    }
+    return best ? best->gpage : kInvalidGPage;
+}
+
 } // namespace prism

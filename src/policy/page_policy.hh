@@ -16,6 +16,7 @@
 #include <cstdint>
 
 #include "coherence/page_mode.hh"
+#include "coherence/pit.hh"
 #include "mem/addr.hh"
 #include "sim/task.hh"
 
@@ -52,6 +53,28 @@ constexpr std::uint32_t kDynBothScanWidth = 4;
  * this node until something reverts it.
  */
 CoTask chooseClientMode(Kernel &k, GPage gp, PageMode *out);
+
+// Victim picks of the evicting policies over the recency list of a
+// node's PIT, which links exactly its client S-COMA frames; contracts
+// at Kernel::lruClientPage / mostInvalidClientPage.
+
+/**
+ * SCOMA-70 / Dyn-LRU victim: the first linked page from the head for
+ * which @p busy(gpage) is false and whose frame has no Transit line.
+ */
+template <class BusyFn>
+GPage
+lruClientVictim(const Pit &pit, BusyFn busy)
+{
+    for (const PitEntry *e = pit.leastRecent(); e; e = e->newer) {
+        if (!busy(e->gpage) && !e->tags->anyTransit())
+            return e->gpage;
+    }
+    return kInvalidGPage;
+}
+
+/** Dyn-Util victim: most Invalid tags, no Transit, lowest frame. */
+GPage mostInvalidClientVictim(const Pit &pit);
 
 } // namespace prism
 

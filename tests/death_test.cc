@@ -98,6 +98,50 @@ TEST(Death, PitAbsentRemovePanics)
         "removing absent PIT entry");
 }
 
+TEST(Death, PitRecencyDoubleLinkPanics)
+{
+    EXPECT_DEATH(
+        {
+            Pit pit(1, 1);
+            PitEntry &e = pit.install(3, 0x100, 0, 1, 0, PageMode::Scoma,
+                                      64, FgTag::Invalid);
+            pit.linkRecency(e);
+            pit.linkRecency(e); // frame 3 is already linked
+        },
+        "already in the recency list");
+}
+
+TEST(Death, PitRecencyUnlinkUnlinkedPanics)
+{
+    EXPECT_DEATH(
+        {
+            Pit pit(1, 1);
+            PitEntry &e = pit.install(3, 0x100, 0, 1, 0, PageMode::Scoma,
+                                      64, FgTag::Invalid);
+            pit.linkRecency(e);
+            pit.unlinkRecency(e);
+            pit.unlinkRecency(e); // no longer linked
+        },
+        "not in the recency list");
+}
+
+TEST(Death, PitRecencyTouchBackInTimePanics)
+{
+    EXPECT_DEATH(
+        {
+            Pit pit(1, 1);
+            PitEntry &a = pit.install(3, 0x100, 0, 1, 0, PageMode::Scoma,
+                                      64, FgTag::Invalid);
+            PitEntry &b = pit.install(4, 0x200, 0, 1, 0, PageMode::Scoma,
+                                      64, FgTag::Invalid);
+            pit.linkRecency(a);
+            pit.linkRecency(b);
+            pit.touch(a, 10);
+            pit.touch(b, 5); // the node's clock never goes back
+        },
+        "before the newest");
+}
+
 TEST(Death, DirectoryAdoptPresentPagePanics)
 {
     EXPECT_DEATH(
