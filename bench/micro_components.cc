@@ -18,15 +18,16 @@
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/shard.hh"
+#include "sim/task.hh"
 
 namespace prism {
 namespace {
 
 /**
  * A capture the size of the simulator's largest (Machine::route's
- * this + pooled Msg pointer, plus padding up to three words): big
- * enough to defeat libstdc++'s 16-byte std::function SBO, which the
- * event queue's inline callback storage must hold without allocating.
+ * this, destination pool and boxed Msg: three words): big enough to
+ * defeat libstdc++'s 16-byte std::function SBO, which the event
+ * queue's inline callback storage must hold without allocating.
  */
 struct FatCapture {
     std::uint64_t *sink;
@@ -295,6 +296,69 @@ BM_EventQueueChurn(benchmark::State &state)
     benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_EventQueueChurn);
+
+/**
+ * Churn with every delay beyond the timing wheel: each event waits in
+ * the far heap and migrates into its bucket as the clock catches up,
+ * so this prices the far path that BM_EventQueueChurn never takes.
+ */
+void
+BM_EventQueueChurnFar(benchmark::State &state)
+{
+    EventQueue eq;
+    Rng rng(42);
+    std::uint64_t sink = 0;
+    constexpr int kPopulation = 512;
+    constexpr Cycles kW = EventQueue::kWheelTicks;
+    FatCapture fat{&sink, 1, 2};
+    for (int i = 0; i < kPopulation; ++i) {
+        eq.scheduleIn(kW + rng.below(3 * kW),
+                      [fat] { *fat.sink += fat.a + fat.b; });
+    }
+    for (auto _ : state) {
+        eq.scheduleIn(kW + rng.below(3 * kW),
+                      [fat] { *fat.sink += fat.a + fat.b; });
+        eq.runOne();
+    }
+    eq.runAll();
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_EventQueueChurnFar);
+
+CoTask
+frameLeaf(EventQueue &eq, std::uint64_t &sink)
+{
+    co_await DelayAwaiter(eq, 1);
+    ++sink;
+}
+
+CoTask
+frameRoot(EventQueue &eq, std::uint64_t &sink)
+{
+    co_await frameLeaf(eq, sink);
+    ++sink;
+}
+
+/**
+ * Create, run and destroy a two-level CoTask (root awaiting a leaf
+ * that delays one cycle): two coroutine frames and one event, the
+ * shape of every simulated cache miss.
+ */
+void
+BM_EventQueueCoroutineFrame(benchmark::State &state)
+{
+    EventQueue eq;
+    std::uint64_t sink = 0;
+    for (auto _ : state) {
+        CoTask t = frameRoot(eq, sink);
+        t.start();
+        eq.runAll();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_EventQueueCoroutineFrame);
 
 // ---------------------------------------------------------------------
 // mem_path micros: the per-access memory-hierarchy hot path (TLB,

@@ -5,7 +5,7 @@
  * The simulator schedules tens of millions of events per run, and the
  * previous `std::function<void()>` representation heap-allocated every
  * capture larger than libstdc++'s 16-byte small-object buffer (the
- * message-delivery closures are 16-24 bytes).  InlineCallback stores
+ * message-delivery closure is 24 bytes).  InlineCallback stores
  * its target in a fixed inline buffer with *no* heap fallback: a
  * capture that does not fit is a compile error, so the event hot path
  * can never silently regress into malloc/free churn.
@@ -28,8 +28,8 @@ namespace prism {
  * Requirements on the stored callable:
  *  - `sizeof(F) <= Capacity` (static-asserted; enlarge the capacity
  *    constant at the use site if a legitimate capture outgrows it),
- *  - nothrow move constructible (events are relocated when the event
- *    heap reorders), and
+ *  - nothrow move constructible (callbacks are relocated when the
+ *    event queue's slot arena grows), and
  *  - alignment no stricter than `std::max_align_t`.
  */
 template <std::size_t Capacity>
@@ -61,8 +61,8 @@ class InlineCallback
         static_assert(alignof(Fn) <= alignof(std::max_align_t),
                       "capture over-aligned for InlineCallback");
         static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                      "captures must be nothrow-movable: the event heap "
-                      "relocates callbacks when it reorders");
+                      "captures must be nothrow-movable: the event "
+                      "queue's arena relocates callbacks when it grows");
         reset();
         ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
         ops_ = &opsFor<Fn>;
@@ -142,9 +142,11 @@ class InlineCallback
 
 /**
  * Inline storage for event callbacks.  The largest capture scheduled
- * anywhere in src/ is Machine::route's message-delivery closure
- * (a Machine* plus a pooled Msg*, 16 bytes — static-asserted at the
- * capture site); 48 bytes leaves headroom for tests and benches.
+ * anywhere in src/ is Machine::route's message-delivery closure: the
+ * Machine's `this`, a reference to the destination shard's Msg pool
+ * and the boxed Msg as a unique_ptr, 24 bytes (static-asserted at the
+ * capture site).  Every other src/ capture is at most 16 bytes; 48
+ * bytes leaves headroom for tests and benches.
  */
 inline constexpr std::size_t kEventCallbackBytes = 48;
 

@@ -13,14 +13,193 @@
 #define PRISM_SIM_TASK_HH
 
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
+#include <new>
 #include <utility>
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define PRISM_ASAN_FRAMES 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PRISM_ASAN_FRAMES 1
+#endif
+#endif
+#ifdef PRISM_ASAN_FRAMES
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace prism {
+
+/**
+ * Recycles coroutine frames (not to be confused with os/FramePool,
+ * which hands out simulated page frames).
+ *
+ * Nearly every simulated event creates or destroys a coroutine frame:
+ * each cache miss, memory access and message handler is a CoTask or a
+ * FireAndForget.  Their frames are 64-1280 bytes, and a malloc/free
+ * pair per frame costs more than dispatching the event itself.  Frames
+ * up to kMaxFrameBytes are rounded up to a multiple of kClassBytes and
+ * cached on per-thread, per-size-class free lists instead of being
+ * freed; larger ones go straight to ::operator new.
+ *
+ * Every block is individually allocated with ::operator new, so any
+ * thread may free any block — a frame a shard worker allocated may be
+ * destroyed on the coordinator and then join the coordinator's lists.
+ * At most kMaxCachedPerClass blocks are kept per class and thread
+ * (the rest are freed), which bounds the memory such one-way traffic
+ * can strand.  A thread's lists are freed when it exits; a frame freed
+ * on a thread after that goes straight to ::operator delete.
+ *
+ * Under AddressSanitizer, cached blocks are poisoned until reused, so
+ * resuming or destroying a dead coroutine is still reported.
+ */
+class CoroFrameCache
+{
+  public:
+    static constexpr std::size_t kClassBytes = 64;
+    static constexpr std::size_t kMaxFrameBytes = 2048;
+    static constexpr std::uint32_t kMaxCachedPerClass = 256;
+
+    static void *
+    allocate(std::size_t n)
+    {
+        if (n > kMaxFrameBytes)
+            return ::operator new(n);
+        const std::size_t c = classOf(n);
+        Lists &l = lists_;
+        Block *b = l.head[c];
+        if (b == nullptr)
+            return ::operator new(bytesOf(c));
+        unpoison(b, bytesOf(c));
+        l.head[c] = b->next;
+        --l.count[c];
+        return b;
+    }
+
+    static void
+    deallocate(void *p, std::size_t n) noexcept
+    {
+        if (n > kMaxFrameBytes) {
+            ::operator delete(p, n);
+            return;
+        }
+        const std::size_t c = classOf(n);
+        Lists &l = lists_;
+        if (l.state != State::Armed) [[unlikely]] {
+            if (l.state == State::Drained) {
+                ::operator delete(p, bytesOf(c));
+                return;
+            }
+            arm();
+        }
+        if (l.count[c] >= kMaxCachedPerClass) {
+            ::operator delete(p, bytesOf(c));
+            return;
+        }
+        Block *b = static_cast<Block *>(p);
+        b->next = l.head[c];
+        l.head[c] = b;
+        ++l.count[c];
+        poison(b, bytesOf(c));
+    }
+
+  private:
+    static constexpr std::size_t kClasses = kMaxFrameBytes / kClassBytes;
+    static_assert(kMaxFrameBytes % kClassBytes == 0);
+
+    struct Block {
+        Block *next;
+    };
+
+    enum class State : std::uint8_t { Unarmed, Armed, Drained };
+
+    /** Trivially destructible, so access needs no TLS guard. */
+    struct Lists {
+        Block *head[kClasses];
+        std::uint32_t count[kClasses];
+        State state;
+    };
+
+    /** Frees this thread's cached blocks when the thread exits. */
+    struct Drain {
+        ~Drain()
+        {
+            Lists &l = lists_;
+            for (std::size_t c = 0; c < kClasses; ++c) {
+                while (Block *b = l.head[c]) {
+                    unpoison(b, bytesOf(c));
+                    l.head[c] = b->next;
+                    ::operator delete(b, bytesOf(c));
+                }
+                l.count[c] = 0;
+            }
+            l.state = State::Drained;
+        }
+    };
+
+    static std::size_t
+    classOf(std::size_t n)
+    {
+        return (n - 1) / kClassBytes;
+    }
+
+    static std::size_t
+    bytesOf(std::size_t c)
+    {
+        return (c + 1) * kClassBytes;
+    }
+
+    /** First cached free on this thread: register the exit drain. */
+    [[gnu::noinline]] static void
+    arm() noexcept
+    {
+        thread_local Drain drain;
+        (void)drain;
+        lists_.state = State::Armed;
+    }
+
+    static void
+    poison([[maybe_unused]] void *p, [[maybe_unused]] std::size_t n)
+    {
+#ifdef PRISM_ASAN_FRAMES
+        ASAN_POISON_MEMORY_REGION(p, n);
+#endif
+    }
+
+    static void
+    unpoison([[maybe_unused]] void *p, [[maybe_unused]] std::size_t n)
+    {
+#ifdef PRISM_ASAN_FRAMES
+        ASAN_UNPOISON_MEMORY_REGION(p, n);
+#endif
+    }
+
+    static inline thread_local Lists lists_{};
+};
+
+/**
+ * Base of the coroutine promise types: their frames are allocated and
+ * freed through CoroFrameCache.
+ */
+struct RecycledFrame {
+    static void *
+    operator new(std::size_t n)
+    {
+        return CoroFrameCache::allocate(n);
+    }
+
+    static void
+    operator delete(void *p, std::size_t n) noexcept
+    {
+        CoroFrameCache::deallocate(p, n);
+    }
+};
 
 /**
  * An eagerly-ownable, lazily-started coroutine returning void.
@@ -36,7 +215,7 @@ class CoTask
     struct promise_type;
     using Handle = std::coroutine_handle<promise_type>;
 
-    struct promise_type {
+    struct promise_type : RecycledFrame {
         /** Coroutine to resume when this one finishes (nested await). */
         std::coroutine_handle<> continuation;
         /** Completion callback for root (detached-start) tasks. */
@@ -164,7 +343,7 @@ class CoTask
  * through CoLatch / CoEvent / state updates instead).
  */
 struct FireAndForget {
-    struct promise_type {
+    struct promise_type : RecycledFrame {
         FireAndForget get_return_object() { return {}; }
         std::suspend_never initial_suspend() noexcept { return {}; }
         std::suspend_never final_suspend() noexcept { return {}; }

@@ -13,6 +13,7 @@
 #include "core/sync.hh"
 #include "os/frame_pool.hh"
 #include "sim/event_queue.hh"
+#include "sim/task.hh"
 #include "workload/workload.hh"
 
 namespace prism {
@@ -65,6 +66,45 @@ TEST(Death, EmptyCoTaskStartPanics)
             t.start();
         },
         "empty CoTask");
+}
+
+#ifdef PRISM_ASAN_FRAMES
+/** Stores the awaiting coroutine's handle and suspends. */
+struct GrabHandle {
+    std::coroutine_handle<> *out;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) noexcept { *out = h; }
+    void await_resume() const noexcept {}
+};
+
+CoTask
+suspendOnce(std::coroutine_handle<> *out)
+{
+    co_await GrabHandle{out};
+}
+#endif
+
+/**
+ * Coroutine frames are recycled, not freed; under AddressSanitizer a
+ * cached frame is poisoned, so resuming a destroyed coroutine must
+ * still be reported.
+ */
+TEST(Death, ResumingDestroyedCoTaskIsReportedUnderAsan)
+{
+#ifndef PRISM_ASAN_FRAMES
+    GTEST_SKIP() << "needs -DPRISM_SANITIZE=address";
+#else
+    EXPECT_DEATH(
+        {
+            std::coroutine_handle<> h;
+            {
+                CoTask t = suspendOnce(&h);
+                t.start();
+            }
+            h.resume();
+        },
+        "AddressSanitizer: (use-after-poison|heap-use-after-free)");
+#endif
 }
 
 TEST(Death, FramePoolDoubleReleasePanics)

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -90,7 +92,7 @@ TEST(EventQueue, RunOneOnEmptyReturnsFalse)
 }
 
 /**
- * Property/stress test for the hand-rolled heap: N interleaved
+ * Property/stress test for same-tick FIFO order: N interleaved
  * schedule/scheduleIn calls with heavy same-tick ties, plus callbacks
  * that schedule at the current tick.  The fired order must equal a
  * stable sort of (tick, scheduling order) — FIFO within a tick — and
@@ -205,7 +207,7 @@ TEST(EventQueue, StressReplayIsDeterministic)
 TEST(EventQueue, TiesStayFifoAfterHeavyRecycling)
 {
     EventQueue eq;
-    // Churn the slot arena and the heap.
+    // Churn the slot arena and the wheel buckets.
     for (int i = 0; i < 5000; ++i) {
         eq.scheduleIn(static_cast<Cycles>(i % 7), [] {});
         eq.runOne();
@@ -219,6 +221,127 @@ TEST(EventQueue, TiesStayFifoAfterHeavyRecycling)
     EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(order[i], i);
+}
+
+/**
+ * Reference model for the timing wheel and its far heap.  The spec is
+ * a single (tick, seq) order: schedule() takes the next non-negative
+ * sequence number, scheduleFront() the next negative one counting
+ * down.  Delays span four wheel turns, so events cross the wheel /
+ * far-heap boundary in both directions; scheduleFront lands both
+ * inside the wheel and in the far heap, several times at one far tick
+ * (alongside normal events there) so migrated front events must keep
+ * heap order; new events tie with pending ones wherever those wait;
+ * runUntil jumps past the whole window while the wheel is
+ * empty; and the clock runs many wheel turns, so bucket indices wrap.
+ * Each callback checks, as it fires, that it is the model's earliest
+ * event; pending() and nextEventTick() are checked after every step.
+ */
+TEST(EventQueue, WheelAndFarHeapMatchReferenceModel)
+{
+    constexpr Tick kW = EventQueue::kWheelTicks;
+    struct Pending {
+        Tick when;
+        std::int64_t seq;
+        int id;
+    };
+    Rng rng(0x77e1ULL);
+    EventQueue eq;
+    std::vector<Pending> model;
+    std::int64_t next_seq = 0;
+    std::int64_t front_seq = -1;
+    int next_id = 0;
+    std::uint64_t fired = 0;
+
+    auto earliest = [&model] {
+        return std::min_element(
+            model.begin(), model.end(),
+            [](const Pending &a, const Pending &b) {
+                return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+            });
+    };
+
+    std::function<void(Tick, bool)> add;
+    auto fire = [&](int id) {
+        ASSERT_FALSE(model.empty());
+        const auto it = earliest();
+        ASSERT_EQ(it->id, id) << "fired out of (tick, seq) order";
+        ASSERT_EQ(it->when, eq.now());
+        model.erase(it);
+        ++fired;
+        ASSERT_EQ(eq.pending(), model.size());
+        // Same-tick children: one behind and one ahead of the rest of
+        // this tick's events.
+        if (id % 7 == 0)
+            add(eq.now(), false);
+        if (id % 13 == 0)
+            add(eq.now(), true);
+    };
+    add = [&](Tick when, bool front) {
+        const int id = next_id++;
+        model.push_back({when, front ? front_seq-- : next_seq++, id});
+        if (front)
+            eq.scheduleFront(when, [&fire, id] { fire(id); });
+        else
+            eq.schedule(when, [&fire, id] { fire(id); });
+    };
+    auto delay = [&rng, kW]() -> Tick {
+        const std::uint64_t r = rng.below(10);
+        if (r < 5)
+            return rng.below(64);
+        if (r < 8)
+            return rng.below(kW);
+        return kW + rng.below(3 * kW);
+    };
+    auto check = [&](int step) {
+        ASSERT_EQ(eq.pending(), model.size()) << "step " << step;
+        const Tick want = model.empty() ? kTickMax : earliest()->when;
+        ASSERT_EQ(eq.nextEventTick(), want) << "step " << step;
+    };
+
+    for (int step = 0; step < 30000; ++step) {
+        const std::uint64_t op = rng.below(100);
+        if (op < 40) {
+            add(eq.now() + delay(), false);
+        } else if (op < 48) {
+            add(eq.now() + delay(), true);
+        } else if (op < 51) {
+            // A far tick holding normal and front events, interleaved.
+            const Tick t = eq.now() + kW + rng.below(2 * kW);
+            for (int k = 0; k < 6; ++k)
+                add(t, k % 2 == 1);
+        } else if (op < 58) {
+            // A tie with some pending event, wherever it now waits.
+            if (!model.empty())
+                add(model[rng.below(model.size())].when, rng.below(3) == 0);
+        } else if (op < 90) {
+            ASSERT_TRUE(eq.runOne() || model.empty());
+        } else if (op < 97) {
+            eq.runUntil(eq.now() + rng.below(kW / 2));
+        } else if (op < 99) {
+            // Leave only far events (or none), then jump past the
+            // whole window while the wheel is empty.
+            eq.runUntil(eq.now() + kW);
+            if (rng.below(2) == 0)
+                add(eq.now() + kW + rng.below(kW), rng.below(2) == 0);
+            const Tick before = eq.now();
+            eq.runUntil(before + 3 * kW + rng.below(kW));
+            EXPECT_GE(eq.now(), before + 3 * kW);
+        } else {
+            eq.runAll();
+        }
+        if (HasFatalFailure())
+            return;
+        check(step);
+        if (HasFatalFailure())
+            return;
+    }
+    eq.runAll();
+    check(-1);
+    EXPECT_EQ(eq.eventsExecuted(), fired);
+    EXPECT_EQ(fired, static_cast<std::uint64_t>(next_id));
+    // The clock ran many wheel turns: bucket indices wrapped.
+    EXPECT_GT(eq.now(), 50 * kW);
 }
 
 TEST(FcfsResource, UncontendedStartsImmediately)
