@@ -220,8 +220,9 @@ struct MachineConfig {
      * Event-loop shards for conservative parallel intra-run
      * simulation (sim/shard.hh): nodes are split into this many
      * groups, each driven by its own event queue on its own thread.
-     * 1 (the default) is the sequential scheduler, bit-identical to
-     * the pre-sharding simulator.  Clamped to numNodes; forced to 1
+     * 1 (the default) is the sequential scheduler: the same window
+     * loop with one shard, bit-identical to the pre-sharding
+     * simulator.  Clamped to numNodes; forced to 1
      * when a sequential-only feature (oracle, jitter, PRISM_TRACE) is
      * active.  Benches thread `--jobs-intra` / PRISM_JOBS_INTRA here.
      */

@@ -11,7 +11,9 @@
 
 namespace prism {
 
-Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
+Machine::Machine(const MachineConfig &cfg)
+    : cfg_(cfg), locks_(cfg.lockAcquireCycles, cfg.lockHandoffCycles),
+      barriers_(cfg.numProcs(), cfg.barrierCycles)
 {
     validateConfig(cfg_);
     if (const char *env = resolveEnv("PRISM_ORACLE")) {
@@ -34,7 +36,7 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     // Event-loop shard count (sim/shard.hh).  Features that observe or
     // perturb the global event interleaving — the protocol oracle's
     // continuous checks, delivery jitter, Chrome tracing — are defined
-    // against the sequential schedule, so they force jobsIntra = 1.
+    // against the one-shard schedule, so they force jobsIntra = 1.
     std::uint32_t jobs = cfg_.jobsIntra ? cfg_.jobsIntra : 1;
     if (jobs > cfg_.numNodes)
         jobs = cfg_.numNodes;
@@ -59,15 +61,6 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
         shardOfNode_[n] = static_cast<std::uint32_t>(
             static_cast<std::uint64_t>(n) * jobs / cfg_.numNodes);
     }
-    const Cycles min_occ =
-        std::min({cfg_.netCtrlOccupancy, cfg_.netDataOccupancy,
-                  cfg_.netPageOccupancy});
-    lookahead_ = conservativeLookahead(cfg_.netLatency, min_occ,
-                                       cfg_.lockAcquireCycles,
-                                       cfg_.lockHandoffCycles,
-                                       cfg_.barrierCycles);
-
-    EventQueue &eq0 = shards_[0]->eq;
     Network::Params np;
     np.oneWayLatency = cfg_.netLatency;
     np.controlOccupancy = cfg_.netCtrlOccupancy;
@@ -75,12 +68,7 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     np.pageOccupancy = cfg_.netPageOccupancy;
     np.jitterMax = cfg_.netJitterMax;
     np.jitterSeed = cfg_.jitterSeed;
-    net_ = std::make_unique<Network>(eq0, cfg_.numNodes, np);
-
-    locks_ = std::make_unique<LockManager>(eq0, cfg_.lockAcquireCycles,
-                                           cfg_.lockHandoffCycles);
-    barriers_ = std::make_unique<BarrierManager>(eq0, cfg_.numProcs(),
-                                                 cfg_.barrierCycles);
+    net_ = std::make_unique<Network>(shards_[0]->eq, cfg_.numNodes, np);
 
     for (NodeId n = 0; n < cfg_.numNodes; ++n) {
         nodes_.push_back(std::make_unique<Node>(
@@ -121,6 +109,13 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     }
 
     if (jobs > 1) {
+        const Cycles min_occ =
+            std::min({cfg_.netCtrlOccupancy, cfg_.netDataOccupancy,
+                      cfg_.netPageOccupancy});
+        lookahead_ = conservativeLookahead(cfg_.netLatency, min_occ,
+                                           cfg_.lockAcquireCycles,
+                                           cfg_.lockHandoffCycles,
+                                           cfg_.barrierCycles);
         std::vector<EventQueue *> queues;
         queues.reserve(jobs);
         for (auto &sh : shards_)
@@ -132,16 +127,12 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
             shards_[s]->eq.setOwnerShard(s);
 #endif
         }
-        // Initial sync ranks mirror the sequential scheduler's start
-        // order (programs are started in global processor order), and
-        // grants hand out fresh ranks from numProcs() up.
-        for (ProcId p = 0; p < numProcs(); ++p) {
-            proc(p).setShard(
-                shards_[shardOfNode_[p / cfg_.procsPerNode]].get(), p);
-        }
-        nextSyncRank_ = numProcs();
         workers_ = std::make_unique<ShardWorkers>(jobs);
     }
+    // Each processor's initial sync rank is its id, the order programs
+    // start in (Proc's constructor); grants hand out fresh ranks from
+    // numProcs() up.
+    nextSyncRank_ = numProcs();
 }
 
 Machine::~Machine()
@@ -241,39 +232,26 @@ Machine::run(const std::function<CoTask(Proc &)> &make)
     for (ProcId p = 0; p < n; ++p)
         tasks.push_back(make(proc(p)));
 
-    if (shards_.size() == 1) {
-        std::uint32_t done = 0;
-        for (auto &t : tasks) {
-            t.start([this, &done] {
-                ++done;
-                lastProcDone_ = shards_[0]->eq.now();
-            });
-        }
-        const bool finished =
-            shards_[0]->eq.runWhile([&done, n] { return done == n; });
-        prism_assert(finished,
-                     "event queue drained with %u of %u programs "
-                     "unfinished", n - done, n);
-        drain();
-        if (oracle_)
-            oracle_->sweepQuiescent();
-        return;
-    }
-
-    // Sharded: each program starts as a tick-0 event on its own shard
-    // (its first steps touch node state, so they must run in shard
+    // Each program starts as an event at its shard's current tick (its
+    // first steps touch node state, so they must run in shard
     // context), scheduled in global processor order.
+    for (auto &sh : shards_) {
+        sh->done = 0;
+        sh->lastDone = 0;
+    }
     for (ProcId p = 0; p < n; ++p) {
         MachineShard &sh =
             *shards_[shardOfNode_[p / cfg_.procsPerNode]];
-        sh.eq.schedule(0, [&t = tasks[p], &sh] {
+        sh.eq.schedule(sh.eq.now(), [&t = tasks[p], &sh] {
             t.start([&sh] {
                 ++sh.done;
                 sh.lastDone = sh.eq.now();
             });
         });
     }
-    runShardedLoop();
+    runLoop();
+    if (oracle_)
+        oracle_->sweepQuiescent();
     std::uint32_t done = 0;
     Tick last = 0;
     for (auto &sh : shards_) {
@@ -284,16 +262,6 @@ Machine::run(const std::function<CoTask(Proc &)> &make)
                  "shard queues drained with %u of %u programs "
                  "unfinished", n - done, n);
     lastProcDone_ = last;
-}
-
-void
-Machine::drain()
-{
-    if (shards_.size() > 1) {
-        runShardedLoop();
-        return;
-    }
-    shards_[0]->eq.runAll();
 }
 
 void
@@ -321,30 +289,53 @@ Machine::shardOfQueue(const EventQueue *q) const
     panic("sync op from a queue owned by no shard");
 }
 
-void
-Machine::applyMark(const SyncOp &op)
+bool
+Machine::submitSync(const SyncOp &op)
 {
-    const std::uint32_t ms = shardOfQueue(op.q);
-    if (op.kind == SyncOp::MarkBegin) {
+    if (shards_.size() == 1)
+        return applySync(op);
+    MachineShard &sh = *shards_[shardOfQueue(op.q)];
+    sh.syncOps.push_back(op);
+    if (op.kind == SyncOp::MarkBegin || op.kind == SyncOp::MarkEnd)
+        sh.markHit = true;
+    return op.kind != SyncOp::LockRelease;
+}
+
+bool
+Machine::applySync(const SyncOp &op)
+{
+    auto grant = [this](const SyncWaiter &w, Tick at) {
+        w.actor->rank = nextSyncRank_++;
+        w.q->schedule(at, [h = w.h] { h.resume(); });
+    };
+    const SyncWaiter w{op.h, op.q, op.actor};
+    switch (op.kind) {
+      case SyncOp::LockAcquire:
+        locks_.applyAcquire(op.id, w, op.tick, grant);
+        return true;
+      case SyncOp::LockRelease:
+        locks_.applyRelease(op.id, op.tick, grant);
+        return false;
+      case SyncOp::BarrierArrive:
+        return barriers_.applyArrive(op.id, w, op.tick, grant);
+      case SyncOp::MarkBegin:
         prism_assert(!parallelBeginSet_, "parallel phase begun twice");
         parallelBeginSet_ = true;
         parallelBegin_ = op.tick;
-        beginSnap_ = snapshotAdjusted(op.tick, ms);
-    } else {
+        beginSnap_ = snapshotAdjusted(op.tick, shardOfQueue(op.q));
+        return false;
+      case SyncOp::MarkEnd:
         prism_assert(!parallelEndSet_, "parallel phase ended twice");
         parallelEndSet_ = true;
         parallelEnd_ = op.tick;
-        endSnap_ = snapshotAdjusted(op.tick, ms);
+        endSnap_ = snapshotAdjusted(op.tick, shardOfQueue(op.q));
+        return false;
     }
-    // Un-truncate the marking shard and splice the program's
-    // continuation back in ahead of the tick's remaining events,
-    // where the sequential scheduler would have run it synchronously.
-    shards_[ms]->markHit = false;
-    op.q->scheduleFront(op.tick, [h = op.h] { h.resume(); });
+    panic("unhandled sync op kind %u", static_cast<unsigned>(op.kind));
 }
 
 void
-Machine::runShardedLoop()
+Machine::runLoop()
 {
     const Cycles L = lookahead_;
     Tick W = 0;
@@ -364,7 +355,7 @@ Machine::runShardedLoop()
         } else if (min_next > W) {
             W = min_next; // window advance doubles as the idle jump
         }
-        windowLimit_ = W + L;
+        windowLimit_ = W > kTickMax - L ? kTickMax : W + L;
 
         // Serial stretches — one runnable shard (or none, while ops
         // wait behind an unapplied mark) — skip the worker round and
@@ -401,36 +392,21 @@ Machine::runShardedLoop()
         }
         std::sort(ops.begin(), ops.end(), SyncOp::before);
 
-        auto grant = [this](const SyncWaiter &w, Tick at) {
-            w.actor->rank = nextSyncRank_++;
-            w.q->schedule(at, [h = w.h] { h.resume(); });
-        };
         std::size_t i = 0;
-        for (; i < ops.size(); ++i) {
-            const SyncOp &op = ops[i];
+        while (i < ops.size()) {
+            const SyncOp &op = ops[i++];
+            applySync(op);
             if (op.kind == SyncOp::MarkBegin ||
                 op.kind == SyncOp::MarkEnd) {
-                // Apply the mark, hold everything ordered after it:
-                // its snapshot must not see later ops' effects, and
-                // held ops re-merge (and re-sort) next round.
-                applyMark(op);
-                ++i;
+                // Un-freeze the marking shard and splice the program's
+                // continuation back in ahead of the tick's remaining
+                // events, where a one-shard run resumes it at once.
+                // Hold everything ordered after the mark: its snapshot
+                // must not see later ops' effects, and held ops
+                // re-merge (and re-sort) next round.
+                shards_[shardOfQueue(op.q)]->markHit = false;
+                op.q->scheduleFront(op.tick, [h = op.h] { h.resume(); });
                 break;
-            }
-            const SyncWaiter w{op.h, op.q, op.actor};
-            switch (op.kind) {
-              case SyncOp::LockAcquire:
-                locks_->applyAcquire(op.id, w, op.tick, grant);
-                break;
-              case SyncOp::LockRelease:
-                locks_->applyRelease(op.id, op.tick, grant);
-                break;
-              case SyncOp::BarrierArrive:
-                barriers_->applyArrive(op.id, w, op.tick, grant);
-                break;
-              default:
-                panic("unhandled sync op kind %u",
-                      static_cast<unsigned>(op.kind));
             }
         }
         pendingSync_.assign(std::make_move_iterator(ops.begin() + i),
@@ -443,7 +419,7 @@ Machine::runShardedLoop()
         }
     }
     prism_assert(net_->shardTrafficQuiescent(),
-                 "sharded run ended with traffic still staged");
+                 "run ended with traffic still staged");
     net_->foldShardHistograms();
 }
 
@@ -484,24 +460,6 @@ Machine::snapshotAdjusted(Tick at, std::uint32_t mark_shard) const
     sub(s.pageFaults, over[std::size_t(SnapKind::Fault)]);
     sub(s.networkMessages, over[std::size_t(SnapKind::NetMsg)]);
     return s;
-}
-
-void
-Machine::markParallelBegin()
-{
-    prism_assert(!parallelBeginSet_, "parallel phase begun twice");
-    parallelBeginSet_ = true;
-    parallelBegin_ = shards_[0]->eq.now();
-    beginSnap_ = snapshot();
-}
-
-void
-Machine::markParallelEnd()
-{
-    prism_assert(!parallelEndSet_, "parallel phase ended twice");
-    parallelEndSet_ = true;
-    parallelEnd_ = shards_[0]->eq.now();
-    endSnap_ = snapshot();
 }
 
 RunMetrics

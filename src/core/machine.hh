@@ -38,13 +38,12 @@ class RefSink;
 class TraceSink;
 
 /**
- * Everything one event-loop shard owns (sim/shard.hh).  The sequential
- * scheduler is the one-shard special case: shard 0 holds THE event
- * queue, message pool and message ring, and every other field stays
- * idle.  With jobsIntra > 1 each shard drives a contiguous block of
- * nodes on its own thread; all fields are written only by the owning
- * shard's thread during a window, and read/reset only by the
- * coordinator between windows.
+ * Everything one event-loop shard owns (sim/shard.hh).  Each shard
+ * drives a contiguous block of nodes; all fields are written only by
+ * the owning shard's thread during a window, and read/reset only by
+ * the coordinator between windows.  With one shard (jobsIntra == 1,
+ * the default) the sync-op log and mark flag stay idle: ops are
+ * applied at issue.
  */
 struct MachineShard {
     EventQueue eq;
@@ -79,13 +78,13 @@ class Machine
     const MachineConfig &config() const { return cfg_; }
 
     /**
-     * Shard 0's event queue — the *only* queue in sequential mode
+     * Shard 0's event queue — the only queue when there is one shard
      * (jobsIntra == 1, the default).  Callers that drive the queue by
-     * hand (latency probes, unit tests) require sequential mode.
+     * hand (latency probes, unit tests) require one shard.
      */
     EventQueue &eventQueue() { return shards_[0]->eq; }
 
-    /** Number of event-loop shards (1 = sequential scheduler). */
+    /** Number of event-loop shards (jobsIntra, capped at numNodes). */
     std::uint32_t
     numShards() const
     {
@@ -95,7 +94,10 @@ class Machine
     /** Shard driving @p n 's event loop. */
     std::uint32_t shardOfNode(NodeId n) const { return shardOfNode_[n]; }
 
-    /** Conservative window lookahead, cycles (sharded mode). */
+    /**
+     * Conservative window lookahead, cycles; kTickMax with one shard,
+     * which has no cross-shard reaction to wait for.
+     */
     Cycles lookahead() const { return lookahead_; }
 
     /** Events executed, aggregated over every shard's queue. */
@@ -110,16 +112,14 @@ class Machine
 
     Network &network() { return *net_; }
     IpcServer &ipc() { return ipc_; }
-    LockManager &locks() { return *locks_; }
-    BarrierManager &barriers() { return *barriers_; }
     MetricRegistry &metricRegistry() { return registry_; }
     const MetricRegistry &metricRegistry() const { return registry_; }
 
     /**
      * Always-on bounded history of recent protocol messages (the
      * last-N debugging buffer; see obs/ for the full trace sink).
-     * Sharded mode keeps one ring per shard; this returns shard 0's
-     * (the whole history in sequential mode).
+     * Each shard keeps its own ring; this returns shard 0's (the
+     * whole history with one shard).
      */
     const TraceRing &messageRing() const { return shards_[0]->msgRing; }
 
@@ -170,21 +170,22 @@ class Machine
     // --- Running programs ------------------------------------------------
 
     /**
-     * Run one program coroutine per processor to completion.
-     * @p make is called once per processor to create its program.
+     * Run one program coroutine per processor to completion, then
+     * drain all residual activity (writebacks etc.).  @p make is
+     * called once per processor to create its program.  May be called
+     * again on the same machine; programs start at the current tick.
      */
     void run(const std::function<CoTask(Proc &)> &make);
 
-    /** Drain all residual simulation activity (writebacks etc.). */
-    void drain();
+    /**
+     * Issue a synchronization op (Proc's lock/unlock/barrier and
+     * parallel-phase marks).  One shard applies it at once; several
+     * log it with the issuing shard for the coordinator.
+     * @retval true if the issuer stays suspended until a grant.
+     */
+    bool submitSync(const SyncOp &op);
 
     // --- Parallel-phase measurement ------------------------------------
-
-    /** Called by the program when the measured phase starts. */
-    void markParallelBegin();
-
-    /** Called by the program when the measured phase ends. */
-    void markParallelEnd();
 
     Tick parallelBeginTick() const { return parallelBegin_; }
 
@@ -224,36 +225,41 @@ class Machine
      */
     Snapshot snapshotAdjusted(Tick at, std::uint32_t mark_shard) const;
 
-    // --- Sharded run loop (jobsIntra > 1) ------------------------------
+    // --- Run loop ------------------------------------------------------
 
     /** Windows of [W, W+L) until every queue and channel is dry. */
-    void runShardedLoop();
+    void runLoop();
 
     /** One shard's slice of a window: run events below windowLimit_. */
     void runShardWindow(std::uint32_t s);
 
-    /** Apply a deferred parallel-phase mark (coordinator). */
-    void applyMark(const SyncOp &op);
+    /**
+     * Apply a sync op to the lock/barrier managers or, for a mark,
+     * take the parallel-phase snapshot as of the op's tick.
+     * @retval true if the issuer waits for a grant.
+     */
+    bool applySync(const SyncOp &op);
 
     /** Index of the shard that owns @p q. */
     std::uint32_t shardOfQueue(const EventQueue *q) const;
 
     MachineConfig cfg_;
-    /** Event-loop shards; shards_[0] doubles as the sequential queue.
-     *  unique_ptr for address stability: nodes hold EventQueue&. */
+    /** Event-loop shards, one or more.  unique_ptr for address
+     *  stability: nodes hold EventQueue&. */
     std::vector<std::unique_ptr<MachineShard>> shards_;
     std::vector<std::uint32_t> shardOfNode_;
-    Cycles lookahead_ = 0;
+    /** kTickMax unless sharded: one shard runs one window. */
+    Cycles lookahead_ = kTickMax;
     std::unique_ptr<Network> net_;
     IpcServer ipc_;
-    std::unique_ptr<LockManager> locks_;
-    std::unique_ptr<BarrierManager> barriers_;
+    LockManager locks_;
+    BarrierManager barriers_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::unique_ptr<ProtocolOracle> oracle_;
     RefSink *refSink_ = nullptr;
     MetricRegistry registry_;
     std::unique_ptr<TraceSink> trace_;
-    /** Worker threads for shards 1..N-1 (null in sequential mode). */
+    /** Worker threads for shards 1..N-1 (null with one shard). */
     std::unique_ptr<ShardWorkers> workers_;
     /** Current window's exclusive limit W+L (set by the coordinator
      *  before each round; read by shard threads during it). */

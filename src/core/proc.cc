@@ -11,21 +11,21 @@ namespace prism {
 namespace {
 
 /**
- * Sharded-mode synchronization: suspend the program coroutine and log
- * the op with the shard; the coordinator applies it at the next window
- * barrier and schedules the resume back into this shard's queue.
+ * Synchronization: issue the op and stay suspended only if the machine
+ * says the issuer waits for a grant (which resumes it in this
+ * processor's shard queue).
  */
-struct DeferredSyncAwaiter {
+struct SyncAwaiter {
     Proc &p;
-    std::uint8_t kind;
+    SyncOp::Kind kind;
     std::uint64_t id;
 
     bool await_ready() const { return false; }
 
-    void
+    bool
     await_suspend(std::coroutine_handle<> h)
     {
-        p.enqueueSyncOp(kind, id, h);
+        return p.enqueueSyncOp(kind, id, h);
     }
 
     void await_resume() const {}
@@ -41,6 +41,7 @@ Proc::Proc(ProcId id, Node &node, Machine &machine,
       l2_(cfg.l2Bytes, cfg.l2Assoc, cfg.lineBytes),
       tlb_(cfg.tlbEntries)
 {
+    actor_.rank = id; // programs start in processor order
 }
 
 Tick
@@ -312,17 +313,13 @@ Proc::shootdown(VPage vp)
     }
 }
 
-void
-Proc::enqueueSyncOp(std::uint8_t kind, std::uint64_t id,
+bool
+Proc::enqueueSyncOp(SyncOp::Kind kind, std::uint64_t id,
                     std::coroutine_handle<> h)
 {
-    prism_assert(shard_, "sync op logged outside sharded mode");
-    shard_->syncOps.push_back(SyncOp{eq_.now(), actor_.rank,
-                                     actor_.nextSeq++,
-                                     static_cast<SyncOp::Kind>(kind), id,
-                                     h, &eq_, &actor_});
-    if (kind == SyncOp::MarkBegin || kind == SyncOp::MarkEnd)
-        shard_->markHit = true;
+    return machine_.submitSync(SyncOp{eq_.now(), actor_.rank,
+                                      actor_.nextSeq++, kind, id, h, &eq_,
+                                      &actor_});
 }
 
 CoTask
@@ -331,10 +328,7 @@ Proc::barrier(std::uint64_t id)
     if (refSink_)
         refSink_->sync(id_, RefOp::Barrier, id);
     co_await flushTime();
-    if (shard_)
-        co_await DeferredSyncAwaiter{*this, SyncOp::BarrierArrive, id};
-    else
-        co_await machine_.barriers().arrive(id);
+    co_await SyncAwaiter{*this, SyncOp::BarrierArrive, id};
 }
 
 CoTask
@@ -343,10 +337,7 @@ Proc::lock(std::uint64_t id)
     if (refSink_)
         refSink_->sync(id_, RefOp::Lock, id);
     co_await flushTime();
-    if (shard_)
-        co_await DeferredSyncAwaiter{*this, SyncOp::LockAcquire, id};
-    else
-        co_await machine_.locks().acquire(id);
+    co_await SyncAwaiter{*this, SyncOp::LockAcquire, id};
 }
 
 CoTask
@@ -355,10 +346,7 @@ Proc::unlock(std::uint64_t id)
     if (refSink_)
         refSink_->sync(id_, RefOp::Unlock, id);
     co_await flushTime();
-    if (shard_)
-        enqueueSyncOp(SyncOp::LockRelease, id, {}); // no suspension
-    else
-        machine_.locks().release(id);
+    co_await SyncAwaiter{*this, SyncOp::LockRelease, id};
 }
 
 CoTask
@@ -375,10 +363,7 @@ Proc::beginParallel()
     if (refSink_)
         refSink_->sync(id_, RefOp::BeginParallel, 0);
     co_await flushTime();
-    if (shard_)
-        co_await DeferredSyncAwaiter{*this, SyncOp::MarkBegin, 0};
-    else
-        machine_.markParallelBegin();
+    co_await SyncAwaiter{*this, SyncOp::MarkBegin, 0};
 }
 
 CoTask
@@ -387,10 +372,7 @@ Proc::endParallel()
     if (refSink_)
         refSink_->sync(id_, RefOp::EndParallel, 0);
     co_await flushTime();
-    if (shard_)
-        co_await DeferredSyncAwaiter{*this, SyncOp::MarkEnd, 0};
-    else
-        machine_.markParallelEnd();
+    co_await SyncAwaiter{*this, SyncOp::MarkEnd, 0};
 }
 
 void

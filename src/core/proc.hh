@@ -34,7 +34,6 @@ namespace prism {
 class Node;
 class Machine;
 class ProtocolOracle;
-struct MachineShard;
 
 /** Per-processor statistics, as labeled scoped handles. */
 struct ProcStats {
@@ -171,25 +170,12 @@ class Proc
     void setRefSink(RefSink *s) { refSink_ = s; }
 
     /**
-     * Sharded scheduler: bind this processor to its node's shard and
-     * seed its synchronization rank (Machine construction).  Unbound
-     * (the default), sync ops take the sequential awaitable path.
+     * Issue a synchronization op (@p kind on object @p id) through
+     * Machine::submitSync, stamped with this processor's rank and
+     * issue sequence.  @p h is the suspended continuation.
+     * @retval true if @p h stays suspended until a grant resumes it.
      */
-    void
-    setShard(MachineShard *shard, std::uint64_t initial_rank)
-    {
-        shard_ = shard;
-        actor_.rank = initial_rank;
-    }
-
-    /**
-     * Sharded scheduler: log a synchronization op (SyncOp::Kind
-     * @p kind on object @p id) with the owning shard for deterministic
-     * application by the coordinator at the next window barrier.
-     * @p h is the suspended continuation (null for ops that do not
-     * suspend, i.e. lock release).
-     */
-    void enqueueSyncOp(std::uint8_t kind, std::uint64_t id,
+    bool enqueueSyncOp(SyncOp::Kind kind, std::uint64_t id,
                        std::coroutine_handle<> h);
 
     /**
@@ -239,9 +225,8 @@ class Proc
     Node &node_;
     Machine &machine_;
     ProtocolOracle *oracle_ = nullptr;
-    RefSink *refSink_ = nullptr;    //!< non-null only when recording
-    MachineShard *shard_ = nullptr; //!< non-null only when sharded
-    SyncActor actor_;               //!< rank/seq for deterministic sync
+    RefSink *refSink_ = nullptr; //!< non-null only when recording
+    SyncActor actor_;            //!< rank/seq for deterministic sync
     const MachineConfig &cfg_;
     EventQueue &eq_;
     LineGeometry geo_;

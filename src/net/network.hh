@@ -84,9 +84,11 @@ class Network
         Tick at = in_start + occ;
         if (params_.jitterMax) {
             at += jitterRng_.below(params_.jitterMax + 1);
-            // Clamp to strictly increasing per (src, dst): the event
-            // queue does not promise stable ordering of equal ticks,
-            // and the protocol relies on pairwise FIFO delivery.
+            // Clamp to strictly increasing per (src, dst): jitter could
+            // otherwise deliver a later send first, and the protocol
+            // relies on pairwise FIFO delivery.  The strict `<=` (equal
+            // ticks bumped too) is what the fuzz-corpus budgets replay
+            // against.
             Tick &last = lastDeliver_[src * numNodes_ + dst];
             if (at <= last)
                 at = last + 1;
@@ -365,7 +367,7 @@ class Network
     /** Last delivery tick per (src, dst); empty when jitter is off. */
     std::vector<Tick> lastDeliver_;
 
-    // Sharded-mode state (unused, empty, in sequential mode).
+    // Sharded-mode state (unused, empty, with one shard).
     bool sharded_ = false;
     std::vector<EventQueue *> shardQueues_;
     std::vector<std::uint32_t> shardOfNode_;

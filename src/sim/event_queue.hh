@@ -100,9 +100,8 @@ class EventQueue
      * Schedule @p cb at @p when, ordered *before* every event already
      * scheduled for that tick.  Used by the sharded coordinator to
      * splice a deferred continuation (e.g. the code following a
-     * parallel-phase mark) back in where the sequential scheduler
-     * would have run it synchronously — ahead of same-tick events
-     * that were enqueued earlier.
+     * parallel-phase mark) back in where a one-shard run resumes it
+     * at once — ahead of same-tick events that were enqueued earlier.
      */
     template <typename F>
     void
@@ -196,7 +195,7 @@ class EventQueue
         return true;
     }
 
-    // --- Sharded-scheduler hooks (no-ops in sequential mode) ----------
+    // --- Sharded-scheduler hooks (no-ops with one shard) --------------
 
     /**
      * Attach the owning shard's snapshot log; increment sites call
@@ -218,7 +217,8 @@ class EventQueue
 
     /**
      * Debug: the shard the calling thread is executing (kAnyShard for
-     * the coordinator / sequential mode).  Set by the window loop.
+     * a thread outside any window, e.g. the coordinator).  Set by the
+     * window loop.
      */
     static std::uint32_t &
     threadShard()

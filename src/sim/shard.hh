@@ -18,6 +18,11 @@
  *    deterministic (tick, rank, seq) key chosen to match the
  *    sequential scheduler's tie order.
  *
+ * The sequential scheduler (`--jobs-intra 1`) is the one-shard case
+ * of the same window loop: with no cross-shard reaction to wait for,
+ * its lookahead is unbounded, so a run is a single window, and sync
+ * ops are applied at issue instead of logged.
+ *
  * Everything here is deterministic by construction: no ordering ever
  * depends on thread arrival order, so a run's results are identical
  * for any shard count >= 2 and stable across reruns.  They are NOT
@@ -76,7 +81,7 @@ struct SyncOp {
     std::uint32_t seq;  //!< per-processor issue order within a tick
     Kind kind;
     std::uint64_t id;            //!< lock/barrier id (0 for marks)
-    std::coroutine_handle<> h;   //!< continuation (null for releases)
+    std::coroutine_handle<> h;   //!< continuation (unused by releases)
     EventQueue *q;               //!< issuing shard's queue (resume target)
     SyncActor *actor;            //!< issuing processor's rank slot
 

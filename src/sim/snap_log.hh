@@ -1,16 +1,17 @@
 /**
  * @file
  * Tick-tagged increment log for the counters that feed the parallel-
- * phase snapshots (Machine::markParallelBegin/End).
+ * phase snapshots (the parallel-phase marks in Machine::applySync).
  *
- * Under the sharded scheduler (sim/shard.hh) a mark can land mid-
+ * With several shards (sim/shard.hh) a mark can land mid-
  * window: by the time the coordinator applies it, other shards have
  * already executed events past the mark tick and bumped their
  * counters.  Each shard therefore logs (tick, kind) for every
  * increment of a snapshot-relevant counter, and the coordinator
  * reconstructs "counter value as of tick t" by subtracting the logged
- * increments that sequential execution would have ordered after the
- * mark.  The log is empty and untouched in sequential mode.
+ * increments that one-shard execution would have ordered after the
+ * mark.  The log is empty and untouched with one shard, where marks
+ * apply at issue.
  */
 
 #ifndef PRISM_SIM_SNAP_LOG_HH

@@ -35,9 +35,8 @@ TEST(Death, ReleasingUnheldLockPanics)
 {
     EXPECT_DEATH(
         {
-            EventQueue eq;
-            LockManager lm(eq, 1, 1);
-            lm.release(42);
+            LockManager lm(1, 1);
+            lm.applyRelease(42, 0, [](const SyncWaiter &, Tick) {});
         },
         "unheld lock");
 }

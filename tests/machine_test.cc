@@ -120,6 +120,35 @@ TEST(Machine, DrainLeavesNoPendingEvents)
     EXPECT_EQ(m.eventQueue().pending(), 0u);
 }
 
+class MachineRerun : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+// A second run() on the same machine starts its programs at the
+// current tick and counts its own finishers, at every shard count.
+TEST_P(MachineRerun, RunTwiceOnOneMachine)
+{
+    MachineConfig cfg;
+    cfg.numNodes = 4;
+    cfg.procsPerNode = 2;
+    cfg.jobsIntra = GetParam();
+    Machine m(cfg);
+    ASSERT_EQ(m.numShards(), GetParam());
+    auto program = [](Proc &p) -> CoTask {
+        return [](Proc &pp) -> CoTask {
+            pp.compute(100);
+            co_await pp.barrier(1);
+        }(p);
+    };
+    m.run(program);
+    const Tick first = m.parallelEndTick();
+    EXPECT_GT(first, 0u);
+    m.run(program);
+    EXPECT_GT(m.parallelEndTick(), first);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, MachineRerun, ::testing::Values(1u, 2u));
+
 TEST(Machine, RouteRejectsNothingAndCountsMessages)
 {
     MachineConfig cfg;

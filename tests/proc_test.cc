@@ -147,6 +147,28 @@ TEST(Proc, RunAheadIsBounded)
     });
 }
 
+// On a 1x1 machine a barrier has no one to wait for: barrier()
+// returns without suspending and charges no cycles.
+TEST(Proc, LoneBarrierPassesThrough)
+{
+    MachineConfig cfg;
+    cfg.numNodes = 1;
+    cfg.procsPerNode = 1;
+    Machine m(cfg);
+    bool checked = false;
+    m.run([&](Proc &p) -> CoTask {
+        return [](Proc &pp, Machine &mm, bool &ok) -> CoTask {
+            const Tick t0 = pp.localNow();
+            const std::uint64_t events = mm.eventQueue().eventsExecuted();
+            co_await pp.barrier(0);
+            EXPECT_EQ(pp.localNow(), t0);
+            EXPECT_EQ(mm.eventQueue().eventsExecuted(), events);
+            ok = true;
+        }(p, m, checked);
+    });
+    EXPECT_TRUE(checked);
+}
+
 TEST(Proc, ComputeAccumulatesStats)
 {
     Rig rig;

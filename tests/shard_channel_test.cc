@@ -25,7 +25,7 @@ namespace {
 
 /**
  * A miniature coordinator: the same window protocol as
- * Machine::runShardedLoop, driven single-threaded (the protocol is
+ * Machine::runLoop, driven single-threaded (the protocol is
  * thread-agnostic; threads only add wall-clock overlap).
  */
 class ShardHarness

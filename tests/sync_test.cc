@@ -1,27 +1,77 @@
 /**
  * @file
- * Unit tests for the lock and barrier cost models.
+ * Unit tests for the lock and barrier cost models, driven through
+ * their apply calls with a grant that resumes each waiter in its own
+ * queue (as Machine::applySync does).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/sync.hh"
+#include "sim/event_queue.hh"
 #include "sim/task.hh"
 
 namespace prism {
 namespace {
 
+void
+grant(const SyncWaiter &w, Tick at)
+{
+    w.q->schedule(at, [h = w.h] { h.resume(); });
+}
+
+/** co_await Acquire{lm, eq, id}: applyAcquire at the current tick. */
+struct Acquire {
+    LockManager &lm;
+    EventQueue &eq;
+    std::uint64_t id;
+
+    bool await_ready() const { return false; }
+
+    void
+    await_suspend(std::coroutine_handle<> h)
+    {
+        lm.applyAcquire(id, SyncWaiter{h, &eq}, eq.now(), grant);
+    }
+
+    void await_resume() const {}
+};
+
+void
+release(LockManager &lm, EventQueue &eq, std::uint64_t id)
+{
+    lm.applyRelease(id, eq.now(), grant);
+}
+
+/** co_await Arrive{bm, eq, id}: suspends only if applyArrive says so. */
+struct Arrive {
+    BarrierManager &bm;
+    EventQueue &eq;
+    std::uint64_t id;
+
+    bool await_ready() const { return false; }
+
+    bool
+    await_suspend(std::coroutine_handle<> h)
+    {
+        return bm.applyArrive(id, SyncWaiter{h, &eq}, eq.now(), grant);
+    }
+
+    void await_resume() const {}
+};
+
 TEST(LockManager, UncontendedAcquireChargesRoundTrip)
 {
     EventQueue eq;
-    LockManager lm(eq, 300, 140);
+    LockManager lm(300, 140);
     Tick acquired = 0;
     auto w = [&]() -> FireAndForget {
-        co_await lm.acquire(7);
+        co_await Acquire{lm, eq, 7};
         acquired = eq.now();
-        lm.release(7);
+        release(lm, eq, 7);
     };
     w();
     eq.runAll();
@@ -33,13 +83,13 @@ TEST(LockManager, UncontendedAcquireChargesRoundTrip)
 TEST(LockManager, ContendedFifoHandoff)
 {
     EventQueue eq;
-    LockManager lm(eq, 300, 140);
+    LockManager lm(300, 140);
     std::vector<std::pair<int, Tick>> log;
     auto w = [&](int id, Cycles hold) -> FireAndForget {
-        co_await lm.acquire(1);
+        co_await Acquire{lm, eq, 1};
         co_await DelayAwaiter(eq, hold);
         log.emplace_back(id, eq.now());
-        lm.release(1);
+        release(lm, eq, 1);
     };
     w(1, 50);
     w(2, 50);
@@ -58,15 +108,15 @@ TEST(LockManager, ContendedFifoHandoff)
 TEST(LockManager, IndependentLockIds)
 {
     EventQueue eq;
-    LockManager lm(eq, 10, 5);
+    LockManager lm(10, 5);
     int running = 0, max_running = 0;
     auto w = [&](std::uint64_t id) -> FireAndForget {
-        co_await lm.acquire(id);
+        co_await Acquire{lm, eq, id};
         ++running;
         max_running = std::max(max_running, running);
         co_await DelayAwaiter(eq, 100);
         --running;
-        lm.release(id);
+        release(lm, eq, id);
     };
     w(1);
     w(2);
@@ -78,11 +128,11 @@ TEST(LockManager, IndependentLockIds)
 TEST(BarrierManager, ReleasesAllTogether)
 {
     EventQueue eq;
-    BarrierManager bm(eq, 3, 400);
+    BarrierManager bm(3, 400);
     std::vector<Tick> out;
     auto w = [&](Cycles arrive_at) -> FireAndForget {
         co_await DelayAwaiter(eq, arrive_at);
-        co_await bm.arrive(0);
+        co_await Arrive{bm, eq, 0};
         out.push_back(eq.now());
     };
     w(10);
@@ -99,11 +149,11 @@ TEST(BarrierManager, ReleasesAllTogether)
 TEST(BarrierManager, EpisodesAutoAdvanceOnSameId)
 {
     EventQueue eq;
-    BarrierManager bm(eq, 2, 10);
+    BarrierManager bm(2, 10);
     int rounds_done = 0;
     auto w = [&]() -> FireAndForget {
         for (int r = 0; r < 5; ++r)
-            co_await bm.arrive(0);
+            co_await Arrive{bm, eq, 0};
         ++rounds_done;
     };
     w();
@@ -116,15 +166,17 @@ TEST(BarrierManager, EpisodesAutoAdvanceOnSameId)
 TEST(BarrierManager, SingleParticipantPassesThrough)
 {
     EventQueue eq;
-    BarrierManager bm(eq, 1, 10);
+    BarrierManager bm(1, 10);
     bool done = false;
     auto w = [&]() -> FireAndForget {
-        co_await bm.arrive(3);
+        co_await Arrive{bm, eq, 3};
         done = true;
     };
     w();
-    eq.runAll();
+    // No suspension, no cost, no episode: done before the queue runs.
     EXPECT_TRUE(done);
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_EQ(bm.episodes(), 0u);
 }
 
 } // namespace
