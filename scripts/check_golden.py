@@ -7,8 +7,10 @@ Each <report.json> is a `--report` output of the named bench (a
 bench report, or a single run report for one-run benches such as
 table1_latency).  For every run, keyed by (bench, app, policy), the
 golden file holds the paper-table `metrics` section and the sample
-count of each latency histogram (quantiles are left out).  The check
-fails on any difference and names the (bench, app, policy, field).
+count of each latency histogram (quantiles are left out).  A run that
+carries a `variant` (a bench's extra dimension, e.g. migration off/on
+or a machine preset) is keyed (bench, app, policy, variant).  The check
+fails on any difference and names the run key and the field.
 With --update the golden file is rewritten from the reports instead.
 """
 
@@ -30,8 +32,12 @@ def load_runs(bench, path):
         doc = json.load(f)
     if "runs" not in doc:  # single-run bench: no app name
         return {f"{bench}/-/{doc['config']['policy']}": digest(doc)}
-    return {f"{bench}/{r['app']}/{r['policy']}": digest(r["report"])
-            for r in doc["runs"]}
+    return {run_key(bench, r): digest(r["report"]) for r in doc["runs"]}
+
+
+def run_key(bench, run):
+    key = f"{bench}/{run['app']}/{run['policy']}"
+    return f"{key}/{run['variant']}" if run.get("variant") else key
 
 
 def write_golden(path, runs):

@@ -15,8 +15,8 @@ namespace {
 constexpr std::uint64_t kKey = 0x05;
 
 struct Rig {
-    Rig()
-        : m(makeCfg())
+    explicit Rig(const MachineConfig &cfg = makeCfg())
+        : m(cfg)
     {
         gsid = m.shmget(kKey, 64 * kPageBytes);
         m.shmatAll(kSharedVsid, gsid);
@@ -127,6 +127,59 @@ TEST(Kernel, RefaultAfterHomePageOutPaysDiskAndWorks)
     EXPECT_TRUE(rig.m.node(0).controller().isDynHome(rig.gp(0)));
     FrameNum f = rig.m.node(1).controller().pit().frameOf(rig.gp(0));
     EXPECT_NE(f, kInvalidFrame);
+}
+
+TEST(Kernel, PageInDuringHomePageOutIsDeferredThenServed)
+{
+    // A client fault whose page-in request reaches the home while the
+    // home's page-out sits in its disk wait must be deferred, then
+    // served once the page-out has finished: the home pages the page
+    // back in from disk, so the fault pays the disk latency on top of
+    // the rest of the page-out.
+    MachineConfig cfg = Rig::makeCfg();
+    cfg.diskLatency = 200000; // far longer than the fault's request leg
+    Rig rig(cfg);
+    rig.m.run([&](Proc &p) -> CoTask {
+        return [](Proc &pp, Rig &r) -> CoTask {
+            if (pp.id() == 0)
+                co_await pp.write(r.va(0));
+            co_return;
+        }(p, rig);
+    });
+    Kernel &home = rig.m.node(0).kernel();
+    Kernel &client = rig.m.node(1).kernel();
+    EventQueue &eq = rig.m.eventQueue();
+    const std::uint64_t served = home.stats().pageInRequestsServed;
+
+    const Tick t0 = eq.now();
+    Tick out_done = 0;
+    Tick fault_done = 0;
+    FrameNum f = kInvalidFrame;
+    auto page_out = [&]() -> FireAndForget {
+        co_await home.pageOutHome(rig.gp(0));
+        out_done = eq.now();
+    };
+    auto fault = [&]() -> FireAndForget {
+        co_await client.handleFault(rig.va(0).page(), &f);
+        fault_done = eq.now();
+    };
+    page_out();
+    fault();
+    eq.runAll();
+
+    ASSERT_NE(out_done, 0u);
+    ASSERT_NE(fault_done, 0u);
+    EXPECT_LT(t0 + cfg.faultKernelCycles, out_done)
+        << "the request must reach the home before the page-out ends";
+    EXPECT_GE(fault_done, out_done + cfg.diskLatency)
+        << "the deferred page-in must pay the disk after the page-out";
+    EXPECT_EQ(home.stats().homePageOuts, 1u);
+    EXPECT_EQ(home.stats().pageInRequestsServed, served + 1);
+    EXPECT_TRUE(rig.m.node(0).controller().isDynHome(rig.gp(0)));
+    EXPECT_NE(f, kInvalidFrame);
+    EXPECT_EQ(rig.m.node(1).controller().pit().frameOf(rig.gp(0)), f);
+    EXPECT_TRUE(client.pageTable().mapped(rig.va(0).page()));
+    EXPECT_EQ(client.stats().faultsClient, 1u);
 }
 
 TEST(Kernel, FaultsFromAllProcsOfANodeShareOneMapping)
