@@ -23,15 +23,14 @@
 #ifndef PRISM_COHERENCE_CONTROLLER_HH
 #define PRISM_COHERENCE_CONTROLLER_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "coherence/directory.hh"
 #include "coherence/msg.hh"
+#include "coherence/page_rec.hh"
 #include "coherence/pit.hh"
 #include "core/config.hh"
 #include "mem/addr.hh"
@@ -76,7 +75,7 @@ struct InterventionResult {
 /**
  * Node-side services the controller and the kernel need: message
  * send, processor-cache interventions and frame flushes, TLB
- * shootdown, and kernel cooperation for page migration.  Implemented
+ * shootdown, and kernel frames for page migration.  Implemented
  * by core::Node to keep the coherence and OS layers independent of
  * the machine assembly (and coherence/ from including os/).
  */
@@ -127,15 +126,6 @@ class NodeHost
 
     /** Unmap and free the departing home page's frame. */
     virtual void migrationFreeFrame(FrameNum frame, GPage gp) = 0;
-
-    /** Home-kernel client set for @p gp (migration metadata). */
-    virtual SharerSet homeKernelClients(GPage gp) = 0;
-
-    /** Install home-kernel metadata for an arriving page. */
-    virtual void homeKernelAdopt(GPage gp, const SharerSet &clients) = 0;
-
-    /** Drop home-kernel metadata for a departed page. */
-    virtual void homeKernelDepart(GPage gp) = 0;
 };
 
 /**
@@ -181,6 +171,9 @@ class CoherenceController
     Pit &pit() { return pit_; }
     const Pit &pit() const { return pit_; }
     Directory &directory() { return dir_; }
+    /** This node's page records (shared with the node's kernel). */
+    PageRecTable &pages() { return pages_; }
+    const PageRecTable &pages() const { return pages_; }
     const ControllerStats &stats() const { return stats_; }
     const LineGeometry &geometry() const { return geo_; }
 
@@ -315,42 +308,12 @@ class CoherenceController
     void onMessage(Msg m);
 
     /** Outstanding client transactions (draining / test support). */
-    std::size_t pendingTransactions() const { return pending_.size(); }
+    std::size_t pendingTransactions() const { return openTxns_; }
 
     /** Attach the protocol oracle (Machine construction). */
     void setOracle(ProtocolOracle *o) { oracle_ = o; }
 
   private:
-    /** Client-side transaction awaiting a reply plus ack collection. */
-    struct ClientTxn {
-        explicit ClientTxn(EventQueue &eq) : latch(eq) {}
-        CoLatch latch;
-        bool exclusive = false;
-        bool dataFetched = false; //!< data crossed the network
-        bool threeParty = false;  //!< data supplied by the previous owner
-        bool invalidatedMidFlight = false;
-        NodeId dynHome = kInvalidNode;
-        FrameNum homeFrame = kInvalidFrame;
-    };
-
-    /** Home-side wait for an owner's response in a 3-party leg. */
-    struct HomeWait {
-        explicit HomeWait(EventQueue &eq) : event(eq) {}
-        CoEvent event;
-        bool nacked = false;
-        bool dirty = false;
-    };
-
-    /** Per-home-page migration/traffic metadata. */
-    struct HomeMeta {
-        FrameNum homeFrame = kInvalidFrame;
-        std::vector<std::uint32_t> accessesByNode;
-        std::uint64_t totalAccesses = 0;
-        bool migrating = false;
-        /** Cached client frame numbers (dirClientFrameHints option). */
-        std::vector<FrameNum> clientFrames;
-    };
-
     /** Payload attached to a MigrateData message. */
     struct MigrationPayload {
         std::vector<DirEntry> dir;
@@ -359,6 +322,7 @@ class CoherenceController
 
     // Timing helpers.
     DelayAwaiter delay(Cycles c) { return DelayAwaiter(eq_, c); }
+    DelayAwaiter until(Tick t) { return delay(t - std::min(t, eq_.now())); }
     DelayAwaiter occupy(Cycles c);
     DelayAwaiter dramAccess();
 
@@ -366,7 +330,25 @@ class CoherenceController
     void send(Msg &&m);
     void forward(Msg &&m);
 
-    CoMutex &lineLock(GPage gpage, std::uint32_t line_idx);
+    /** Send a Writeback or ReplaceHint of a line of @p e's page home. */
+    void sendToHome(MsgType type, const PitEntry &e,
+                    std::uint32_t line_idx, bool dirty, bool keep_shared);
+
+    /** Open-transaction slot of a line, or nullptr if none is open. */
+    LineSlot *lineSlot(GPage gpage, std::uint32_t line_idx);
+
+    /** Home metadata of @p gpage, or nullptr unless this node is home. */
+    HomeMeta *homeMeta(GPage gpage);
+
+    /** Lines of @p gpage with a client transaction or fill token. */
+    std::uint32_t clientLinesOpen(GPage gpage) const;
+
+    /**
+     * Mark the line's racing client transaction and fill token (if
+     * any) invalidated: a shared grant in flight must not install a
+     * stale copy.
+     */
+    void poisonLine(GPage gpage, std::uint32_t line_idx);
 
     // Client-side pieces.  @p poisoned reports a racing invalidation
     // that voided a non-exclusive grant.
@@ -387,6 +369,12 @@ class CoherenceController
     void noteHomeAccess(GPage gpage, NodeId requester);
     void maybeTriggerMigration(GPage gpage);
 
+    /**
+     * Take this node out of a migrating page's directory: lines it
+     * owned become Uncached (their data went into the page's memory).
+     */
+    void dropSelfFromDir(GPage gp, std::vector<DirEntry> &dir);
+
     NodeId self_;
     const MachineConfig &cfg_;
     EventQueue &eq_;
@@ -396,39 +384,10 @@ class CoherenceController
 
     Pit pit_;
     Directory dir_;
+    PageRecTable pages_;
     FcfsResource ctrlRes_; //!< protocol-engine occupancy
-
-    /** Granted-but-not-yet-filled LA-NUMA lines (see finishFill). */
-    struct FillToken {
-        bool invalidated = false;
-    };
-
-    std::unordered_map<GLine, ClientTxn *> pending_;
-    std::unordered_map<GLine, FillToken> fillPending_;
-    /**
-     * Lines of each page with an outstanding client transaction or
-     * fill token, so the page-flush drain checks probe one counter
-     * instead of walking every line of the page.
-     */
-    std::unordered_map<GPage, std::uint32_t> pendingByPage_;
-
-    void pendingPageAdd(GPage gp) { ++pendingByPage_[gp]; }
-
-    void
-    pendingPageRemove(GPage gp)
-    {
-        auto it = pendingByPage_.find(gp);
-        if (--it->second == 0)
-            pendingByPage_.erase(it);
-    }
-
-    std::unordered_map<GLine, HomeWait *> homeWaits_;
-    std::unordered_map<GPage, std::vector<std::unique_ptr<CoMutex>>> locks_;
-    std::unordered_map<GPage, HomeMeta> homeMeta_;
-    /** Static-home registry: current dynamic home of pages I anchor. */
-    std::unordered_map<GPage, NodeId> registry_;
-    /** Tombstones for pages that migrated away from this node. */
-    std::unordered_map<GPage, NodeId> movedTo_;
+    /** Client transactions in flight (pendingTransactions). */
+    std::size_t openTxns_ = 0;
 
     ProtocolOracle *oracle_ = nullptr;
     TraceSink *trace_ = nullptr;

@@ -91,7 +91,7 @@ struct Msg {
     bool keepShared = false;    //!< Writeback: sender keeps a Shared copy
     std::uint64_t aux = 0;      //!< type-specific extra payload
     /** Bulk payload (migration: directory + kernel metadata). */
-    std::shared_ptr<void> payload;
+    std::shared_ptr<void> payload{};
 
     /** Network size class of this message type. */
     MsgSize sizeClass() const;

@@ -62,6 +62,7 @@ Pit::linkRecency(PitEntry &e)
     (e.newer ? e.newer->older : newest_) = &e;
     e.recencyLinked = true;
     lastUntouched_ = &e;
+    ++linked_;
 }
 
 void
@@ -70,6 +71,7 @@ Pit::unlinkRecency(PitEntry &e)
     prism_assert(e.recencyLinked, "frame %llu not in the recency list",
                  static_cast<unsigned long long>(e.frame));
     detach(e);
+    --linked_;
 }
 
 void

@@ -157,6 +157,9 @@ class Pit
     /** Least recently touched linked entry, or nullptr if none. */
     const PitEntry *leastRecent() const { return oldest_; }
 
+    /** Number of entries in the recency list. */
+    std::size_t recencyLinkedCount() const { return linked_; }
+
     /** Entry for @p frame, or nullptr. */
     PitEntry *entry(FrameNum frame);
     const PitEntry *entry(FrameNum frame) const;
@@ -221,6 +224,7 @@ class Pit
     PitEntry *oldest_ = nullptr;    //!< recency-list head
     PitEntry *newest_ = nullptr;    //!< recency-list tail
     PitEntry *lastUntouched_ = nullptr; //!< last linked entry with lastAccess 0
+    std::size_t linked_ = 0;            //!< entries in the recency list
 
     void detach(PitEntry &e);
 };

@@ -10,7 +10,7 @@
  * MSI/MESI/MOESI/MESIF), and is the
  * NodeHost through which the kernel and the coherence controller send
  * messages and reach the processor caches and TLBs, and through which
- * the controller cooperates with the kernel for migration.
+ * the controller gets and frees kernel frames for migration.
  */
 
 #ifndef PRISM_CORE_NODE_HH
@@ -85,9 +85,6 @@ class Node : public NodeHost
     bool lineCached(FrameNum frame, std::uint32_t line_idx) const override;
     FrameNum migrationAllocFrame(GPage gp) override;
     void migrationFreeFrame(FrameNum frame, GPage gp) override;
-    SharerSet homeKernelClients(GPage gp) override;
-    void homeKernelAdopt(GPage gp, const SharerSet &clients) override;
-    void homeKernelDepart(GPage gp) override;
 
   private:
     DelayAwaiter delay(Cycles c) { return DelayAwaiter(eq_, c); }

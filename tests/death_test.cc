@@ -213,20 +213,57 @@ TEST(Death, RegistryPointingAtSelfPanics)
             cfg.numNodes = 1;
             cfg.procsPerNode = 1;
             Machine m(cfg);
+            const std::uint64_t gsid = m.shmget(1, kPageBytes);
+            m.shmatAll(kSharedVsid, gsid);
+            const GPage gp = gsid << kPageNumBits;
             auto &ctrl = m.node(0).controller();
-            ctrl.installHomeMapping(1, 0); // registry_[0] = self
-            ctrl.directory().removePage(0);
+            ctrl.installHomeMapping(1, gp); // registry names self
+            ctrl.directory().removePage(gp);
             Msg req;
             req.type = MsgType::ReqS;
             req.src = 0;
             req.dst = 0;
             req.requester = 0;
-            req.gpage = 0;
+            req.gpage = gp;
             req.lineIdx = 0;
             ctrl.onMessage(std::move(req));
             m.eventQueue().runAll();
         },
         "registry points at");
+}
+
+TEST(Death, PageOfUnboundSegmentPanics)
+{
+    // A page record lookup must name the segment it could not find
+    // rather than read past the per-segment index.
+    EXPECT_DEATH(
+        {
+            MachineConfig cfg;
+            cfg.numNodes = 2;
+            cfg.procsPerNode = 1;
+            Machine m(cfg);
+            const std::uint64_t gsid = m.shmget(1, kPageBytes);
+            m.shmatAll(kSharedVsid, gsid);
+            m.node(0).controller().registryLookup((gsid + 1)
+                                                  << kPageNumBits);
+        },
+        "gpage 0x2000000: segment gsid 2 is not bound");
+}
+
+TEST(Death, PagePastSegmentEndPanics)
+{
+    EXPECT_DEATH(
+        {
+            MachineConfig cfg;
+            cfg.numNodes = 2;
+            cfg.procsPerNode = 1;
+            Machine m(cfg);
+            const std::uint64_t gsid = m.shmget(1, 3 * kPageBytes);
+            m.shmatAll(kSharedVsid, gsid);
+            m.node(1).controller().registryLookup((gsid << kPageNumBits) |
+                                                  3);
+        },
+        "gpage 0x1000003: page 3 is past the 3 pages of segment gsid 1");
 }
 
 TEST(Death, TooManyNodesIsFatal)

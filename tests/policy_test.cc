@@ -215,7 +215,8 @@ TEST(Policy, DynBothRevertsHotLaNumaPages)
     cfg.l1Bytes = 512;
     cfg.l2Bytes = 1024;
     Machine m(cfg);
-    std::uint64_t gsid = m.shmget(kKey, 64 * kPageBytes);
+    // The loop below touches pages up to 6 + 2 * 39 = 84.
+    std::uint64_t gsid = m.shmget(kKey, 128 * kPageBytes);
     m.shmatAll(kSharedVsid, gsid);
 
     // Page 4 starts out converted to LA-NUMA at node 1 (as if a past
