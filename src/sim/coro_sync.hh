@@ -13,45 +13,51 @@
 #define PRISM_SIM_CORO_SYNC_HH
 
 #include <coroutine>
-#include <deque>
+#include <cstddef>
+#include <utility>
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
 namespace prism {
 
-/** FIFO mutex for coroutines. */
+/**
+ * FIFO mutex for coroutines.  Waiters queue through their own awaiters
+ * (which live in the suspended coroutine frames), so a mutex owns no
+ * heap memory: nodes keep one per page and per home line.
+ */
 class CoMutex
 {
+    struct Waiter {
+        std::coroutine_handle<> h = {};
+        Waiter *next = nullptr;
+    };
+
   public:
     explicit CoMutex(EventQueue &eq) : eq_(eq) {}
+    CoMutex(const CoMutex &) = delete;
+    CoMutex &operator=(const CoMutex &) = delete;
 
     /** Awaitable acquire; resumes in FIFO order. */
     auto
     acquire()
     {
-        struct Awaiter {
+        struct Awaiter : Waiter {
             CoMutex &m;
 
-            bool
-            await_ready()
-            {
-                if (!m.held_) {
-                    m.held_ = true;
-                    return true;
-                }
-                return false;
-            }
+            bool await_ready() { return !std::exchange(m.held_, true); }
 
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                m.waiters_.push_back(h);
+                this->h = h;
+                (m.tail_ ? m.tail_->next : m.head_) = this;
+                m.tail_ = this;
             }
 
             void await_resume() {}
         };
-        return Awaiter{*this};
+        return Awaiter{{}, *this};
     }
 
     /** Release; the next waiter (if any) resumes at the current tick. */
@@ -59,23 +65,34 @@ class CoMutex
     release()
     {
         prism_assert(held_, "releasing an unheld CoMutex");
-        if (waiters_.empty()) {
+        if (!head_) {
             held_ = false;
             return;
         }
-        auto h = waiters_.front();
-        waiters_.pop_front();
+        const std::coroutine_handle<> h = head_->h;
+        head_ = head_->next;
+        if (!head_)
+            tail_ = nullptr;
         // Ownership transfers directly to the next waiter.
         eq_.scheduleIn(0, [h] { h.resume(); });
     }
 
     bool held() const { return held_; }
-    std::size_t queued() const { return waiters_.size(); }
+
+    std::size_t
+    queued() const
+    {
+        std::size_t n = 0;
+        for (const Waiter *w = head_; w; w = w->next)
+            ++n;
+        return n;
+    }
 
   private:
     EventQueue &eq_;
     bool held_ = false;
-    std::deque<std::coroutine_handle<>> waiters_;
+    Waiter *head_ = nullptr; //!< next to acquire
+    Waiter *tail_ = nullptr;
 };
 
 /** Single-shot event: one waiter, one signal. */
