@@ -8,6 +8,8 @@
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "coherence/directory.hh"
 #include "coherence/pit.hh"
@@ -73,6 +75,35 @@ BM_TlbLookup(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TlbLookup);
+
+/**
+ * Forward translation, as the controller does on every miss: entry()
+ * over 4096 frames, half real and half imaginary (LA-NUMA), visited in
+ * an order that alternates between the two ranges.
+ */
+void
+BM_PitForward(benchmark::State &state)
+{
+    Pit pit(2, 18);
+    std::vector<FrameNum> frames;
+    for (FrameNum f = 0; f < 2048; ++f) {
+        pit.install(f, 0x1000 + f, 0, 0, f, PageMode::Scoma, 64,
+                    FgTag::Invalid);
+        pit.install(kImaginaryFrameBase + f, 0x100000 + f, 0, 1, f,
+                    PageMode::LaNuma, 64, FgTag::Invalid);
+        frames.push_back(f);
+        frames.push_back(kImaginaryFrameBase + f);
+    }
+    Rng rng(7);
+    for (std::size_t i = frames.size() - 1; i > 0; --i)
+        std::swap(frames[i], frames[rng.below(i + 1)]);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(pit.entry(frames[i & 4095]));
+        ++i;
+    }
+}
+BENCHMARK(BM_PitForward);
 
 void
 BM_PitReverseHinted(benchmark::State &state)

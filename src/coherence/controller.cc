@@ -289,7 +289,6 @@ CoherenceController::runClientTxn(MsgType mt, PitEntry &e, FrameNum frame,
     PageRec &r = pages_.at(e.gpage);
     pages_.openLine(r, line_idx).txn = &txn;
     ++r.clientLines;
-    ++openTxns_;
 
     const Tick t0 = eq_.now();
     co_await occupy(cfg_.ctrlOverhead); // compose request, dispatch
@@ -306,7 +305,6 @@ CoherenceController::runClientTxn(MsgType mt, PitEntry &e, FrameNum frame,
     co_await txn.latch.wait();
     r.lines[line_idx].txn = nullptr;
     --r.clientLines;
-    --openTxns_;
     pages_.closeLines(r);
 
     // `e` may be stale: while the transaction was in flight the page
@@ -613,7 +611,7 @@ CoherenceController::removeHomeMapping(FrameNum frame, GPage gpage)
 // ---------------------------------------------------------------------
 
 void
-CoherenceController::onMessage(Msg m)
+CoherenceController::onMessage(Msg &&m)
 {
     switch (m.type) {
       case MsgType::ReqS:

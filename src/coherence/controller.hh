@@ -305,10 +305,7 @@ class CoherenceController
     // --- Network side ------------------------------------------------------
 
     /** Deliver a protocol message to this controller. */
-    void onMessage(Msg m);
-
-    /** Outstanding client transactions (draining / test support). */
-    std::size_t pendingTransactions() const { return openTxns_; }
+    void onMessage(Msg &&m);
 
     /** Attach the protocol oracle (Machine construction). */
     void setOracle(ProtocolOracle *o) { oracle_ = o; }
@@ -386,8 +383,6 @@ class CoherenceController
     Directory dir_;
     PageRecTable pages_;
     FcfsResource ctrlRes_; //!< protocol-engine occupancy
-    /** Client transactions in flight (pendingTransactions). */
-    std::size_t openTxns_ = 0;
 
     ProtocolOracle *oracle_ = nullptr;
     TraceSink *trace_ = nullptr;

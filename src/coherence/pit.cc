@@ -1,18 +1,50 @@
 #include "coherence/pit.hh"
 
+#include "sim/asan.hh"
 #include "sim/logging.hh"
 
 namespace prism {
+
+Pit::Chunk::Chunk()
+{
+    asanPoison(slots, sizeof(slots));
+}
+
+Pit::Chunk::~Chunk()
+{
+    for (std::uint32_t m = live; m; m &= m - 1)
+        at(static_cast<std::uint32_t>(__builtin_ctz(m)))->~PitEntry();
+    asanUnpoison(slots, sizeof(slots));
+}
 
 PitEntry &
 Pit::install(FrameNum frame, GPage gpage, NodeId static_home,
              NodeId dyn_home, FrameNum home_frame_hint, PageMode mode,
              std::uint32_t lines_per_page, FgTag init_tag)
 {
-    prism_assert(byFrame_.find(frame) == byFrame_.end(),
+    if ((mode == PageMode::Scoma || mode == PageMode::Local) &&
+        frame >= kImaginaryFrameBase) {
+        panic("PIT: real (%s) frame %llu is at or above the imaginary "
+              "frame base %llu",
+              pageModeName(mode), static_cast<unsigned long long>(frame),
+              static_cast<unsigned long long>(kImaginaryFrameBase));
+    }
+    prism_assert(entry(frame) == nullptr,
                  "PIT entry already present for frame %llu",
                  static_cast<unsigned long long>(frame));
-    PitEntry &e = byFrame_[frame];
+    auto &table = chunks_[frame >= kImaginaryFrameBase];
+    const FrameNum ci = chunkIndex(frame);
+    if (ci >= table.size())
+        table.resize(ci + 1);
+    if (!table[ci])
+        table[ci] = std::make_unique<Chunk>();
+    Chunk &c = *table[ci];
+    const std::uint32_t i = frame % kChunkFrames;
+    asanUnpoison(c.slots[i], sizeof(PitEntry));
+    PitEntry &e = *new (c.slots[i]) PitEntry;
+    c.live |= 1U << i;
+    ++size_;
+
     e.frame = frame;
     e.gpage = gpage;
     e.staticHome = static_home;
@@ -38,13 +70,16 @@ Pit::installLocal(FrameNum frame, std::uint32_t lines_per_page)
 void
 Pit::remove(FrameNum frame)
 {
-    auto it = byFrame_.find(frame);
-    prism_assert(it != byFrame_.end(), "removing absent PIT entry");
-    if (it->second.recencyLinked)
-        unlinkRecency(it->second);
-    if (it->second.gpage != kInvalidGPage)
-        byPage_.erase(it->second.gpage);
-    byFrame_.erase(it);
+    PitEntry *e = entry(frame);
+    prism_assert(e, "removing absent PIT entry");
+    if (e->recencyLinked)
+        unlinkRecency(*e);
+    if (e->gpage != kInvalidGPage)
+        byPage_.erase(e->gpage);
+    e->~PitEntry();
+    asanPoison(e, sizeof(PitEntry));
+    chunkOf(frame)->live &= ~(1U << (frame % kChunkFrames));
+    --size_;
 }
 
 void
@@ -104,29 +139,12 @@ Pit::touch(PitEntry &e, Tick now)
         lastUntouched_ = &e; // every linked entry is at tick 0
 }
 
-PitEntry *
-Pit::entry(FrameNum frame)
-{
-    auto it = byFrame_.find(frame);
-    return it == byFrame_.end() ? nullptr : &it->second;
-}
-
-const PitEntry *
-Pit::entry(FrameNum frame) const
-{
-    auto it = byFrame_.find(frame);
-    return it == byFrame_.end() ? nullptr : &it->second;
-}
-
 FrameNum
 Pit::reverse(GPage gpage, FrameNum hint, bool &hash_used) const
 {
     hash_used = false;
-    if (hint != kInvalidFrame) {
-        auto it = byFrame_.find(hint);
-        if (it != byFrame_.end() && it->second.gpage == gpage)
-            return hint;
-    }
+    if (const PitEntry *e = entry(hint); e && e->gpage == gpage)
+        return hint;
     hash_used = true;
     auto it = byPage_.find(gpage);
     return it == byPage_.end() ? kInvalidFrame : it->second;
@@ -141,13 +159,30 @@ Pit::writeAllowed(FrameNum frame, NodeId node) const
     return e->capabilities.test(node);
 }
 
+template <typename F>
+void
+Pit::forEach(F &&f) const
+{
+    for (const bool imag : {false, true}) {
+        const FrameNum base = imag ? kImaginaryFrameBase : 0;
+        const auto &table = chunks_[imag];
+        for (std::size_t ci = 0; ci < table.size(); ++ci) {
+            if (!table[ci])
+                continue;
+            for (std::uint32_t m = table[ci]->live; m; m &= m - 1) {
+                const auto i = static_cast<std::uint32_t>(__builtin_ctz(m));
+                f(base + ci * kChunkFrames + i, *table[ci]->at(i));
+            }
+        }
+    }
+}
+
 std::vector<FrameNum>
 Pit::allFrames() const
 {
     std::vector<FrameNum> out;
-    out.reserve(byFrame_.size());
-    for (const auto &[frame, e] : byFrame_)
-        out.push_back(frame);
+    out.reserve(size_);
+    forEach([&](FrameNum f, const PitEntry &) { out.push_back(f); });
     return out;
 }
 
@@ -155,11 +190,11 @@ std::vector<FrameNum>
 Pit::globalFrames() const
 {
     std::vector<FrameNum> out;
-    out.reserve(byFrame_.size());
-    for (const auto &[frame, e] : byFrame_) {
+    out.reserve(size_);
+    forEach([&](FrameNum f, const PitEntry &e) {
         if (e.gpage != kInvalidGPage)
-            out.push_back(frame);
-    }
+            out.push_back(f);
+    });
     return out;
 }
 

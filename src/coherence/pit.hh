@@ -4,7 +4,8 @@
  *
  * The PIT translates between node-private physical frames and global
  * pages.  Forward translation (frame -> global page) is a direct
- * indexed lookup; reverse translation (global page -> frame) first
+ * indexed lookup, in the model as in the hardware: entries are stored
+ * by frame number.  Reverse translation (global page -> frame) first
  * tries the frame-number hint piggybacked on coherence messages and
  * falls back to a hash search.  Each entry also records the page's
  * static and (cached) dynamic home, the cached home frame number, the
@@ -22,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <unordered_map>
 #include <vector>
 
@@ -116,7 +118,15 @@ class Pit
     {
     }
 
-    /** Install a translation for @p frame. @return the new entry. */
+    Pit(const Pit &) = delete;
+    Pit &operator=(const Pit &) = delete;
+
+    /**
+     * Install a translation for @p frame. @return the new entry, in
+     * its default state apart from the fields given here.  S-COMA and
+     * local frames are real: one at or above kImaginaryFrameBase
+     * panics.
+     */
     PitEntry &install(FrameNum frame, GPage gpage, NodeId static_home,
                       NodeId dyn_home, FrameNum home_frame_hint,
                       PageMode mode, std::uint32_t lines_per_page,
@@ -161,8 +171,19 @@ class Pit
     std::size_t recencyLinkedCount() const { return linked_; }
 
     /** Entry for @p frame, or nullptr. */
-    PitEntry *entry(FrameNum frame);
-    const PitEntry *entry(FrameNum frame) const;
+    PitEntry *
+    entry(FrameNum frame)
+    {
+        Chunk *c = chunkOf(frame);
+        const std::uint32_t i = frame % kChunkFrames;
+        return c && (c->live >> i & 1) ? c->at(i) : nullptr;
+    }
+
+    const PitEntry *
+    entry(FrameNum frame) const
+    {
+        return const_cast<Pit *>(this)->entry(frame);
+    }
 
     /**
      * Zero-cost structural query: frame currently mapping @p gpage,
@@ -206,18 +227,81 @@ class Pit
     void noteRejectedWrite() { ++rejectedWrites_; }
 
     /** Number of live entries. */
-    std::size_t size() const { return byFrame_.size(); }
+    std::size_t size() const { return size_; }
 
-    /** All live frames mapping global pages (policy scans). */
+    // Both scans list frames in ascending order, real before imaginary.
+    // Their callers only sum over the frames or check each one, so the
+    // order does not reach any simulated result.
+
+    /** All live frames mapping global pages (oracle checks). */
     std::vector<FrameNum> globalFrames() const;
 
     /** All live frames, local-mode included (accounting scans). */
     std::vector<FrameNum> allFrames() const;
 
   private:
+    /**
+     * Storage for kChunkFrames consecutive frames.  A chunk is
+     * allocated when one of its frames is first installed and is never
+     * freed or moved, so an entry stays at one address while its frame
+     * is installed: the recency list links entries by pointer, and
+     * callers hold a PitEntry & across suspension points.  A slot is
+     * constructed on install and destroyed on remove; under ASan it is
+     * poisoned while no entry lives in it, so a stale reference is
+     * still reported.  Whether a frame is installed is read from the
+     * chunk's live mask, never from the slot.
+     */
+    static constexpr std::uint32_t kChunkFrames = 32;
+    static_assert(kImaginaryFrameBase % kChunkFrames == 0);
+
+    struct Chunk {
+        Chunk();
+        ~Chunk();
+        Chunk(const Chunk &) = delete;
+        Chunk &operator=(const Chunk &) = delete;
+
+        PitEntry *
+        at(std::uint32_t i)
+        {
+            return std::launder(reinterpret_cast<PitEntry *>(slots[i]));
+        }
+
+        std::uint32_t live = 0; //!< bit i: slot i holds an entry
+        alignas(PitEntry) unsigned char slots[kChunkFrames]
+                                             [sizeof(PitEntry)];
+    };
+    static_assert(kChunkFrames <= 32, "live mask is 32 bits");
+
+    /**
+     * The chunk holding @p frame, or nullptr.  Real frames count up
+     * from 0 and imaginary ones from kImaginaryFrameBase; each range
+     * has its own chunk table, indexed from the range's first frame.
+     */
+    Chunk *
+    chunkOf(FrameNum frame) const
+    {
+        const auto &table = chunks_[frame >= kImaginaryFrameBase];
+        const FrameNum ci = chunkIndex(frame);
+        return ci < table.size() ? table[ci].get() : nullptr;
+    }
+
+    /** Position of @p frame's chunk in its range's chunk table. */
+    static FrameNum
+    chunkIndex(FrameNum frame)
+    {
+        return (frame >= kImaginaryFrameBase ? frame - kImaginaryFrameBase
+                                             : frame) /
+               kChunkFrames;
+    }
+
+    /** Call @p f(frame, entry) for every live entry, in frame order. */
+    template <typename F> void forEach(F &&f) const;
+
     Cycles pitCycles_;
     Cycles hashExtra_;
-    std::unordered_map<FrameNum, PitEntry> byFrame_;
+    /** Chunk tables of the real [0] and imaginary [1] frame ranges. */
+    std::vector<std::unique_ptr<Chunk>> chunks_[2];
+    std::size_t size_ = 0;
     std::unordered_map<GPage, FrameNum> byPage_;
     std::uint64_t rejectedWrites_ = 0;
 

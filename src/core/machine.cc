@@ -169,7 +169,7 @@ Machine::route(Msg &&m)
     auto deliver = [this, &dst_pool,
                     owned = std::unique_ptr<Msg>(boxed)]() mutable {
         Msg &msg = *owned;
-        nodes_[msg.dst]->receive(msg);
+        nodes_[msg.dst]->receive(std::move(msg));
         msg.payload.reset(); // drop bulk payloads promptly
         dst_pool.push_back(std::move(owned));
     };

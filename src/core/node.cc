@@ -1,5 +1,7 @@
 #include "core/node.hh"
 
+#include <algorithm>
+
 #include "core/machine.hh"
 
 namespace prism {
@@ -9,7 +11,7 @@ Node::Node(NodeId id, const MachineConfig &cfg, EventQueue &eq,
     : id_(id), cfg_(cfg), eq_(eq), machine_(machine), geo_(cfg.lineBytes),
       proto_(LineProtocol::get(cfg.protocol)),
       bus_(cfg.busAddrCycles, cfg.busDataCycles),
-      dram_(cfg.memAccessCycles)
+      dram_(cfg.memAccessCycles), busLine_(cfg.procsPerNode, kNoBusLine)
 {
     kernel_ = std::make_unique<Kernel>(id, cfg, eq, ipc, *this);
     ctrl_ = std::make_unique<CoherenceController>(id, cfg, eq, dram_, *this);
@@ -29,7 +31,7 @@ Node::until(Tick t)
 }
 
 void
-Node::receive(Msg m)
+Node::receive(Msg &&m)
 {
     if (isKernelMsg(m.type))
         kernel_->receive(std::move(m));
@@ -46,22 +48,18 @@ Node::memAccess(Proc &requester, FrameNum frame, std::uint32_t line_idx,
         (static_cast<std::uint64_t>(line_idx) << geo_.lineShift());
 
     // One node-level transaction per line at a time (bus retry).
-    while (busPending_.count(line_paddr))
+    while (std::find(busLine_.begin(), busLine_.end(), line_paddr) !=
+           busLine_.end())
         co_await delay(cfg_.retryDelay);
-    busPending_.insert(line_paddr);
-    ++busPendingByFrame_[frame];
+    std::uint64_t &slot = busLine_[requester.id() % cfg_.procsPerNode];
+    prism_assert(slot == kNoBusLine,
+                 "proc %u starts a bus transaction with one in flight",
+                 requester.id());
+    slot = line_paddr;
     struct PendingGuard {
-        Node &node;
-        std::uint64_t key;
-        FrameNum frame;
-        ~PendingGuard()
-        {
-            node.busPending_.erase(key);
-            auto it = node.busPendingByFrame_.find(frame);
-            if (--it->second == 0)
-                node.busPendingByFrame_.erase(it);
-        }
-    } guard{*this, line_paddr, frame};
+        std::uint64_t &slot;
+        ~PendingGuard() { slot = kNoBusLine; }
+    } guard{slot};
 
     for (;;) {
         // Address tenure on the split-transaction bus.
@@ -290,7 +288,11 @@ Node::intervene(FrameNum frame, std::uint32_t line_idx, bool invalidate,
 bool
 Node::anyBusPending(FrameNum frame) const
 {
-    return busPendingByFrame_.count(frame) != 0;
+    for (const std::uint64_t line : busLine_) {
+        if (line != kNoBusLine && line >> kPageShift == frame)
+            return true;
+    }
+    return false;
 }
 
 bool

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "coherence/controller.hh"
@@ -54,7 +53,7 @@ class Node : public NodeHost
     }
 
     /** Deliver a network message to this node. */
-    void receive(Msg m);
+    void receive(Msg &&m);
 
     /** The line-protocol scheme this node's bus speaks. */
     const LineProtocol &protocol() const { return proto_; }
@@ -103,16 +102,18 @@ class Node : public NodeHost
     std::vector<std::unique_ptr<Proc>> procs_;
 
     /**
-     * Bus-level MSHR: lines with an outstanding node transaction,
-     * from address phase through fill.  A second miss to the same
-     * line is retried (split-transaction bus retry semantics), which
-     * keeps miss handling atomic with respect to local snoops.
-     * busPendingByFrame_ mirrors it at frame granularity so the
-     * kernel/controller flush loops' anyBusPending() probe is O(1)
-     * instead of a scan over every in-flight line.
+     * Bus-level MSHR: the physical line address of each local
+     * processor's outstanding node transaction (kNoBusLine when it has
+     * none), held from before its address phase through the fill.  A
+     * processor stalls on its miss, so it has at most one transaction
+     * in flight and one slot per processor is enough.  A miss to a
+     * line another processor has in flight is retried
+     * (split-transaction bus retry semantics), which keeps miss
+     * handling atomic with respect to local snoops.  Both that check
+     * and anyBusPending() scan the procsPerNode slots.
      */
-    std::unordered_set<std::uint64_t> busPending_;
-    std::unordered_map<FrameNum, std::uint32_t> busPendingByFrame_;
+    static constexpr std::uint64_t kNoBusLine = ~0ULL;
+    std::vector<std::uint64_t> busLine_;
 };
 
 } // namespace prism

@@ -19,9 +19,6 @@
 
 namespace prism {
 
-/** First frame number of the imaginary (LA-NUMA) range. */
-constexpr FrameNum kImaginaryFrameBase = 1ULL << 24;
-
 /** A frame allocator over a contiguous range of frame numbers. */
 class FramePool
 {

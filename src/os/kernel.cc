@@ -447,7 +447,7 @@ Kernel::reconsiderLaNumaPages(std::uint64_t threshold,
 // ---------------------------------------------------------------------
 
 void
-Kernel::receive(Msg m)
+Kernel::receive(Msg &&m)
 {
     switch (m.type) {
       case MsgType::PageInReq:

@@ -165,7 +165,7 @@ class Kernel
     // --- Message interface ----------------------------------------------
 
     /** Deliver a kernel-class message. */
-    void receive(Msg m);
+    void receive(Msg &&m);
 
     // --- Migration cooperation (NodeHost duties) ----------------------------
 

@@ -20,19 +20,9 @@
 #include <new>
 #include <utility>
 
+#include "sim/asan.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
-
-#if defined(__SANITIZE_ADDRESS__)
-#define PRISM_ASAN_FRAMES 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define PRISM_ASAN_FRAMES 1
-#endif
-#endif
-#ifdef PRISM_ASAN_FRAMES
-#include <sanitizer/asan_interface.h>
-#endif
 
 namespace prism {
 
@@ -76,7 +66,7 @@ class CoroFrameCache
         Block *b = l.head[c];
         if (b == nullptr)
             return ::operator new(bytesOf(c));
-        unpoison(b, bytesOf(c));
+        asanUnpoison(b, bytesOf(c));
         l.head[c] = b->next;
         --l.count[c];
         return b;
@@ -106,7 +96,7 @@ class CoroFrameCache
         b->next = l.head[c];
         l.head[c] = b;
         ++l.count[c];
-        poison(b, bytesOf(c));
+        asanPoison(b, bytesOf(c));
     }
 
   private:
@@ -133,7 +123,7 @@ class CoroFrameCache
             Lists &l = lists_;
             for (std::size_t c = 0; c < kClasses; ++c) {
                 while (Block *b = l.head[c]) {
-                    unpoison(b, bytesOf(c));
+                    asanUnpoison(b, bytesOf(c));
                     l.head[c] = b->next;
                     ::operator delete(b, bytesOf(c));
                 }
@@ -162,22 +152,6 @@ class CoroFrameCache
         thread_local Drain drain;
         (void)drain;
         lists_.state = State::Armed;
-    }
-
-    static void
-    poison([[maybe_unused]] void *p, [[maybe_unused]] std::size_t n)
-    {
-#ifdef PRISM_ASAN_FRAMES
-        ASAN_POISON_MEMORY_REGION(p, n);
-#endif
-    }
-
-    static void
-    unpoison([[maybe_unused]] void *p, [[maybe_unused]] std::size_t n)
-    {
-#ifdef PRISM_ASAN_FRAMES
-        ASAN_UNPOISON_MEMORY_REGION(p, n);
-#endif
     }
 
     static inline thread_local Lists lists_{};

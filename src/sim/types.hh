@@ -38,6 +38,13 @@ using FrameNum = std::uint64_t;
 /** Sentinel frame number. */
 constexpr FrameNum kInvalidFrame = std::numeric_limits<FrameNum>::max();
 
+/**
+ * First frame number of the imaginary (LA-NUMA) range.  Real frames
+ * count up from 0 and imaginary frames from here, so both ranges are
+ * dense and a frame number can index per-frame storage directly.
+ */
+constexpr FrameNum kImaginaryFrameBase = 1ULL << 24;
+
 } // namespace prism
 
 #endif // PRISM_SIM_TYPES_HH

@@ -50,9 +50,9 @@ struct ExperimentResult {
  * executing the workload at all.
  */
 struct RunSpec {
-    MachineConfig machine;
+    MachineConfig machine{};
     /** Sweep dimension; empty selects the paper's six policies. */
-    std::vector<PolicyKind> policies;
+    std::vector<PolicyKind> policies{};
     /** TaskPool workers for runSweepsParallel. */
     unsigned jobs = 1;
     /** The paper's SCOMA-70 page-cache cap fraction. */
@@ -60,7 +60,7 @@ struct RunSpec {
     FrontendKind frontend = FrontendKind::Exec;
     /** .ptrace path: written by record, read by replay.  Sweeps over
      *  several apps treat it as a per-app pattern (tracePathFor). */
-    std::string traceFile;
+    std::string traceFile{};
 };
 
 /**

@@ -67,7 +67,7 @@ TEST(Death, EmptyCoTaskStartPanics)
         "empty CoTask");
 }
 
-#ifdef PRISM_ASAN_FRAMES
+#ifdef PRISM_ASAN
 /** Stores the awaiting coroutine's handle and suspends. */
 struct GrabHandle {
     std::coroutine_handle<> *out;
@@ -90,7 +90,7 @@ suspendOnce(std::coroutine_handle<> *out)
  */
 TEST(Death, ResumingDestroyedCoTaskIsReportedUnderAsan)
 {
-#ifndef PRISM_ASAN_FRAMES
+#ifndef PRISM_ASAN
     GTEST_SKIP() << "needs -DPRISM_SANITIZE=address";
 #else
     EXPECT_DEATH(
@@ -135,6 +135,68 @@ TEST(Death, PitAbsentRemovePanics)
             pit.remove(7); // never installed
         },
         "removing absent PIT entry");
+}
+
+TEST(Death, PitRealFrameInImaginaryRangePanics)
+{
+    EXPECT_DEATH(
+        {
+            Pit pit(1, 1);
+            pit.install(kImaginaryFrameBase + 2, 0x100, 0, 0, 0,
+                        PageMode::Scoma, 64, FgTag::Invalid);
+        },
+        "real \\(s-coma\\) frame 16777218 is at or above the imaginary "
+        "frame base 16777216");
+}
+
+/**
+ * A removed PIT slot is poisoned under AddressSanitizer, so reading an
+ * entry through a reference held across its removal is reported even
+ * when another frame's entry was installed meanwhile (a LA-NUMA
+ * mapping retired for a migrated-in home page).
+ */
+TEST(Death, StalePitEntryAfterRemoveIsReportedUnderAsan)
+{
+#ifndef PRISM_ASAN
+    GTEST_SKIP() << "needs -DPRISM_SANITIZE=address";
+#else
+    EXPECT_DEATH(
+        {
+            Pit pit(1, 1);
+            const FrameNum imag = kImaginaryFrameBase + 1;
+            PitEntry &stale = pit.install(imag, 0x100, 0, 1, 5,
+                                          PageMode::LaNuma, 64,
+                                          FgTag::Invalid);
+            pit.remove(imag);
+            pit.install(5, 0x100, 0, 0, 5, PageMode::Scoma, 64,
+                        FgTag::Exclusive);
+            volatile NodeId home = stale.dynHome;
+            (void)home;
+        },
+        "AddressSanitizer: use-after-poison");
+#endif
+}
+
+TEST(Death, SecondBusTransactionFromOneProcPanics)
+{
+    // A processor stalls on its miss, so the node's bus MSHR keeps one
+    // slot per processor; a second transaction from one must panic
+    // rather than overwrite the first's slot.
+    EXPECT_DEATH(
+        {
+            MachineConfig cfg;
+            cfg.numNodes = 1;
+            cfg.procsPerNode = 2;
+            Machine m(cfg);
+            Node &node = m.node(0);
+            CoTask a = node.memAccess(node.proc(1), 0, 0, false,
+                                      Mesi::Invalid);
+            CoTask b = node.memAccess(node.proc(1), 0, 1, false,
+                                      Mesi::Invalid);
+            a.start(); // holds its slot through the address phase
+            b.start();
+        },
+        "proc 1 starts a bus transaction with one in flight");
 }
 
 TEST(Death, PitRecencyDoubleLinkPanics)

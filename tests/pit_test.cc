@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "coherence/pit.hh"
 
 namespace prism {
@@ -110,6 +112,98 @@ TEST(Pit, LocalEntriesExcludedFromGlobalFrames)
     EXPECT_EQ(pit.globalFrames().size(), 1u);
     EXPECT_EQ(pit.allFrames().size(), 2u);
     EXPECT_EQ(pit.globalFrames()[0], 2u);
+}
+
+TEST(Pit, EntriesInBothFrameRanges)
+{
+    Pit pit(2, 18);
+    const FrameNum imag = kImaginaryFrameBase + 3;
+    pit.install(3, 0x100, 1, 1, 9, PageMode::Scoma, kLines,
+                FgTag::Invalid);
+    pit.install(imag, 0x200, 1, 1, 9, PageMode::LaNuma, kLines,
+                FgTag::Invalid);
+    ASSERT_NE(pit.entry(3), nullptr);
+    ASSERT_NE(pit.entry(imag), nullptr);
+    EXPECT_EQ(pit.entry(3)->gpage, 0x100u);
+    EXPECT_EQ(pit.entry(imag)->gpage, 0x200u);
+    EXPECT_EQ(pit.entry(imag)->frame, imag);
+    EXPECT_EQ(pit.frameOf(0x200), imag);
+    bool hash = true;
+    EXPECT_EQ(pit.reverse(0x200, imag, hash), imag);
+    EXPECT_FALSE(hash);
+    pit.remove(3);
+    EXPECT_EQ(pit.entry(3), nullptr);
+    EXPECT_NE(pit.entry(imag), nullptr);
+}
+
+TEST(Pit, ReinstalledFrameStartsFromADefaultEntry)
+{
+    Pit pit(2, 18);
+    PitEntry &e = pit.install(5, 0x100, 1, 1, 9, PageMode::Scoma, kLines,
+                              FgTag::Exclusive);
+    pit.linkRecency(e);
+    pit.touch(e, 40);
+    e.capabilities.add(2);
+    e.remoteFetches = 7;
+    e.accessed->set(3);
+    pit.remove(5);
+
+    PitEntry &again = pit.install(5, 0x300, 2, 2, 4, PageMode::LaNuma,
+                                  kLines, FgTag::Invalid);
+    EXPECT_EQ(again.gpage, 0x300u);
+    EXPECT_EQ(again.tags, nullptr);
+    EXPECT_TRUE(again.capabilities.empty());
+    EXPECT_EQ(again.remoteFetches, 0u);
+    EXPECT_EQ(again.lastAccess, 0u);
+    EXPECT_FALSE(again.recencyLinked);
+    EXPECT_EQ(again.older, nullptr);
+    EXPECT_EQ(again.newer, nullptr);
+    EXPECT_EQ(again.accessed->popcount(), 0u);
+    EXPECT_EQ(pit.leastRecent(), nullptr);
+    EXPECT_EQ(pit.frameOf(0x100), kInvalidFrame);
+}
+
+TEST(Pit, ScansListFramesInAscendingOrder)
+{
+    Pit pit(2, 18);
+    const std::vector<FrameNum> frames = {
+        kImaginaryFrameBase + 70, 100, 2, kImaginaryFrameBase, 33, 1};
+    for (FrameNum f : frames) {
+        const bool real = f < kImaginaryFrameBase;
+        pit.install(f, 0x1000 + (f % 1000), 0, 0, f,
+                    real ? PageMode::Scoma : PageMode::LaNuma, kLines,
+                    FgTag::Invalid);
+    }
+    pit.installLocal(0, kLines);
+    EXPECT_EQ(pit.size(), 7u);
+    EXPECT_EQ(pit.allFrames(),
+              (std::vector<FrameNum>{0, 1, 2, 33, 100, kImaginaryFrameBase,
+                                     kImaginaryFrameBase + 70}));
+    EXPECT_EQ(pit.globalFrames(),
+              (std::vector<FrameNum>{1, 2, 33, 100, kImaginaryFrameBase,
+                                     kImaginaryFrameBase + 70}));
+    pit.remove(33);
+    EXPECT_EQ(pit.size(), 6u);
+    EXPECT_EQ(pit.allFrames(),
+              (std::vector<FrameNum>{0, 1, 2, 100, kImaginaryFrameBase,
+                                     kImaginaryFrameBase + 70}));
+}
+
+TEST(Pit, NeverInstalledFrameNextToALiveOneIsAbsent)
+{
+    Pit pit(2, 18);
+    pit.install(8, 0x100, 1, 1, 9, PageMode::Scoma, kLines,
+                FgTag::Invalid);
+    pit.install(kImaginaryFrameBase + 8, 0x101, 1, 1, 9, PageMode::LaNuma,
+                kLines, FgTag::Invalid);
+    // Same storage chunk as the live frames, never installed.
+    EXPECT_EQ(pit.entry(9), nullptr);
+    EXPECT_EQ(pit.entry(7), nullptr);
+    EXPECT_EQ(pit.entry(kImaginaryFrameBase + 9), nullptr);
+    // Past every allocated chunk, and the sentinel.
+    EXPECT_EQ(pit.entry(1u << 20), nullptr);
+    EXPECT_EQ(pit.entry(kInvalidFrame), nullptr);
+    EXPECT_TRUE(pit.writeAllowed(9, 3));
 }
 
 TEST(LineMaskTest, PopcountTracksDistinctLines)

@@ -127,6 +127,47 @@ TEST(Proc, WriteTakesPeerCopyWithinNode)
     EXPECT_EQ(p0.l2().lookup(f << kPageShift), Mesi::Invalid);
 }
 
+TEST(Proc, SecondMissToALineRetriesUntilTheFirstFills)
+{
+    Rig rig;
+    // Map page 0 on node 1 and fill its line 0 only.
+    rig.m.run([&](Proc &p) -> CoTask {
+        return [](Proc &pp, Rig &r) -> CoTask {
+            if (pp.id() == 4)
+                co_await pp.read(r.va(0));
+        }(p, rig);
+    });
+    Node &node = rig.m.node(1);
+    const Pte *pte = node.kernel().pageTable().lookup(rig.va(0).page());
+    ASSERT_NE(pte, nullptr);
+    const FrameNum f = pte->frame;
+    const std::uint64_t line1 = (f << kPageShift) | rig.m.config().lineBytes;
+    Proc &first = node.proc(0);
+    Proc &second = node.proc(1);
+    ASSERT_EQ(first.lineState(line1), Mesi::Invalid);
+    EXPECT_FALSE(node.anyBusPending(f));
+
+    // Both processors miss line 1; the second retries on the bus
+    // until the first's transaction has filled.
+    CoTask a = node.memAccess(first, f, 1, false, Mesi::Invalid);
+    CoTask b = node.memAccess(second, f, 1, false, Mesi::Invalid);
+    a.start();
+    b.start();
+    EventQueue &eq = rig.m.eventQueue();
+    while (!a.done()) {
+        EXPECT_TRUE(node.anyBusPending(f));
+        EXPECT_FALSE(b.done());
+        ASSERT_TRUE(eq.runOne());
+    }
+    EXPECT_NE(first.lineState(line1), Mesi::Invalid);
+    EXPECT_EQ(second.lineState(line1), Mesi::Invalid);
+    EXPECT_FALSE(b.done());
+    while (!b.done())
+        ASSERT_TRUE(eq.runOne());
+    EXPECT_NE(second.lineState(line1), Mesi::Invalid);
+    EXPECT_FALSE(node.anyBusPending(f));
+}
+
 TEST(Proc, RunAheadIsBounded)
 {
     Rig rig;
